@@ -350,6 +350,13 @@ class Network:
             self._vk.sync_link(self._ids[u], self._ids[v], link)
         return link
 
+    def kernel_stats(self) -> dict[str, int]:
+        """Always-on forwarding-kernel counters: under ``kernel="vector"``
+        the fired wave entries by executor (``loop_waves``,
+        ``numpy_waves``, ``hooked_waves``); empty under the python
+        kernel, which has no waves.  Not part of any run summary."""
+        return self._vk.stats() if self._vk is not None else {}
+
     # ------------------------------------------------------------------
     # Latency helpers
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Kernel v2: batched delivery waves on numpy columnar link state.
+"""Kernel v2: delivery waves with two executors on columnar link state.
 
 The pure-python kernel (:mod:`repro.net.network`) processes one hop
 arrival per engine event: pop an entry, deliver to the node's agent,
@@ -7,19 +7,38 @@ schedule one new entry per hop.  At 10^5 receivers a single data packet
 is ~2·10^5 events, each paying python-level attribute and dict traffic.
 
 This module processes *delivery waves* instead.  A wave is every hop
-arrival of one packet that lands at one instant — on a depth-synchronised
-tree flood that is an entire frontier.  One bucket entry carries the
-frontier as int32 ndarrays; firing it
+arrival of one packet that one firing lands at one instant — on a
+depth-synchronised tree flood that is an entire frontier.  One bucket
+entry carries the frontier (the nodes reached and, for a flood, the node
+each was reached from); firing it crosses every outgoing hop of the
+frontier, groups the arrival instants into the next waves, and delivers
+to the frontier's agents.
 
-1. expands the frontier against a CSR adjacency built from the network's
-   interned hop records (rows in exact ``_adj`` order, so hop order is
-   byte-identical to the python kernel's loop),
-2. draws the per-hop deterministic trace losses as one ``np.isin`` over
-   per-seqno edge-id arrays,
-3. advances every crossed link's columnar state (``busy_until``,
-   queueing, counters) with elementwise float64 ops in the python
-   kernel's exact float-op order, and
-4. groups the resulting arrival instants into the next waves.
+Two executors, one wave structure
+---------------------------------
+
+How a wave is *executed* depends only on its size; what it *is* — one
+engine entry per arrival instant, hops in the python kernel's order,
+link math in the python kernel's float-op order — never does.
+
+* **loop** (frontier below :data:`CROSSOVER`, and every hooked wave): a
+  plain python loop over per-node ``(to, eid)`` adjacency rows (built
+  lazily for the nodes small waves actually visit), scalar reads and
+  writes on the link columns, a dict keyed by arrival instant collecting
+  the next waves as python lists.  Recovery traffic lives here: a
+  request or reply flood from a leaf is thousands of waves of a handful
+  of nodes, where one numpy call costs more than the whole wave.
+* **numpy** (frontier at or above the crossover): CSR gathers expand the
+  whole hop generation (rows in exact ``_adj`` order), deterministic
+  trace losses are one ``np.isin`` over per-seqno edge-id arrays, link
+  state advances elementwise, ``np.unique`` groups the arrivals.
+
+A wave's lists become ``int32`` arrays (or back) only when it crosses
+the crossover, so a low-fan-out flood still coalesces 1 → 2 → 4 → … on
+the loop and hands over to numpy once the frontier is wide enough.  The
+four link columns are ``array.array`` buffers (fast scalar access for
+the loop) viewed through ``np.frombuffer`` (the numpy executor's
+columns): one memory, one authority.
 
 Equivalence discipline
 ----------------------
@@ -27,31 +46,36 @@ Equivalence discipline
 The vector kernel is an *optimisation of event mechanics only*: every
 observable — metrics, crossings, RNG draw order, trace events, fault
 counters, summary bytes — must match the python kernel exactly
-(``tests/test_kernel_equivalence.py`` gates this).  Two rules keep that
-true:
+(``tests/test_kernel_equivalence.py`` gates this, under both executors).
+Two rules keep that true:
 
-* **Single authority.**  In vector mode the columnar arrays are the only
-  live link state; every send primitive (multicast, unicast, subcast)
-  runs on them.  ``Network.link_state`` syncs the legacy ``LinkState``
-  object from the columns on read.
-* **Fast path only when invisible.**  Vectorised processing is used only
-  when nothing can observe per-hop ordering: no tracer, no ``drop_fn``,
-  no active outage, and every fault rule a recognised deterministic
-  trace-drop table (``rule.link_combos``).  Anything else — stochastic
-  duplicate/reorder rules, link outages, traced runs — falls back to a
-  scalar per-hop path that replicates ``Network._transmit`` on the
-  columns, preserving draw order, counter order, and trace emission
-  order bit for bit.
+* **Single authority.**  In vector mode the columns are the only live
+  link state; every send primitive (multicast, unicast, subcast) runs
+  on them.  ``Network.link_state`` syncs the legacy ``LinkState`` object
+  from the columns on read.
+* **Hooks only on the loop.**  A wave is *hooked* when something can
+  observe or decide individual hops: a tracer, a ``drop_fn``, an active
+  outage, or any fault rule that is not a recognised deterministic
+  trace-drop table (``rule.link_combos``).  Hooked waves — and unicast
+  hops, a frontier of one with one edge — run the same loop with the
+  hooks live in python-kernel order: deliver to a node, then consult
+  ``drop_fn`` / ``faults.on_hop`` and emit the hop's trace events for
+  each of its hops in turn; a duplicated hop crosses its link twice and
+  a delayed one simply lands in a later wave.  Unhooked waves cross all
+  hops first and deliver afterwards, identically under both executors.
 
-Why the reordering inside a fast wave is safe: flood deliveries never
-send synchronously (receive paths only arm jittered timers), a tree
-flood crosses each directed edge at most once per packet, and zero-delay
-timers append to the *current* bucket — after the wave entry — in both
-kernels.  See docs/performance.md ("Kernel v2") for the full argument.
+Why that reordering inside an unhooked wave is safe: flood deliveries
+never send synchronously (receive paths only arm jittered timers), a
+tree flood crosses each directed edge at most once per packet, and
+zero-delay timers append to the *current* bucket — after the wave entry
+— in both kernels.  See docs/performance.md ("Kernel v2") for the full
+argument.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -62,10 +86,51 @@ from repro.net.network import (
     _SLOT_COL,
     _SLOT_ROW,
 )
+from repro.obs.events import EventKind
+
+#: Frontier size at which a wave moves from the python loop to numpy.
+#: Measured, not configured: in a sweep over 0…100 000 on the bench's two
+#: vector workloads and the ``bench_kernel`` v2 tree, ``lossy_scale``
+#: falls until ~48 and is flat beyond, ``scale_lossfree`` is flat from 8
+#: to 128 and the depth-12 tree from 24 to 96 (docs/performance.md has
+#: the table).  Every value yields byte-identical runs; tests pin that by
+#: patching it to 0 (always numpy) and to a huge value (always loop).
+CROSSOVER = 48
+
+#: :meth:`VectorKernel._drops` verdict: this packet's hops are observed.
+_HOOKED = object()
+
+#: The link columns: (backing attribute, array typecode, ndarray view).
+_COLUMNS = (
+    ("_busy", "d", "_busy_np"),
+    ("_qd", "d", "_qd_np"),
+    ("_pkts", "q", "_pkts_np"),
+    ("_bytes", "q", "_bytes_np"),
+)
+
+
+class _Rows(dict):
+    """The loop executor's adjacency: node -> ``((to, eid), ...)`` in
+    ``adj`` order, built the first time a small wave visits the node —
+    large frontiers never pay for rows they cross on numpy."""
+
+    __slots__ = ("_adj", "_edge_of")
+
+    def __init__(self, adj: list, edge_of: dict[int, int]) -> None:
+        self._adj = adj
+        self._edge_of = edge_of
+
+    def __missing__(self, node: int) -> tuple:
+        edge_of = self._edge_of
+        base = node << _HOP_SHIFT
+        row = self[node] = tuple(
+            (record[0], edge_of[base | record[0]]) for record in self._adj[node]
+        )
+        return row
 
 
 class VectorKernel:
-    """Numpy delivery-wave forwarding engine for one :class:`Network`.
+    """Delivery-wave forwarding engine for one :class:`Network`.
 
     Constructed by ``Network(..., kernel="vector")``; the network keeps
     owning topology, agents, counters, and tracing, and delegates the
@@ -83,24 +148,29 @@ class VectorKernel:
         self._edge_of: dict[int, int] = {}
         self._n_edges = 0
         self._cap = 0
-        self._busy = np.zeros(0, dtype=np.float64)
-        self._qd = np.zeros(0, dtype=np.float64)
-        self._pkts = np.zeros(0, dtype=np.int64)
-        self._bytes = np.zeros(0, dtype=np.int64)
-        # -- CSR adjacency (rebuilt lazily after churn) ----------------
+        for backing, code, view in _COLUMNS:
+            column = array(code)
+            setattr(self, backing, column)
+            setattr(self, view, np.frombuffer(column, dtype=code))
+        # -- adjacency (rebuilt lazily after churn) --------------------
         self._dirty = True
-        self._ptr = np.zeros(1, dtype=np.int64)
-        self._adj_to = np.zeros(0, dtype=np.int32)
-        self._adj_edge = np.zeros(0, dtype=np.int32)
-        self._cptr = np.zeros(1, dtype=np.int64)
-        self._cadj_to = np.zeros(0, dtype=np.int32)
-        self._cadj_edge = np.zeros(0, dtype=np.int32)
+        #: Flood (``_adj``) and subcast (``_child_adj``) fan-out, twice
+        #: over: CSR tables ``(ptr, to, edge)`` for the numpy executor,
+        #: lazily filled :class:`_Rows` for the loop.  Set by _rebuild.
+        self._csr: Any = None
+        self._child_csr: Any = None
+        self._rows: Any = None
+        self._child_rows: Any = None
         # -- per-seqno trace-drop edge sets (cleared on rebuild) -------
-        self._drop_cache: dict[int, np.ndarray | None] = {}
-        # -- recognised fault rules (see _fast_ok) ---------------------
+        self._drop_cache: dict[int, tuple[frozenset, np.ndarray] | None] = {}
+        # -- recognised fault rules (see _drops) -----------------------
         self._rules_src: Any = None
         self._rules_len = -1
         self._rules_combos: tuple | None = ()
+        # -- fired wave entries by executor (Network.kernel_stats) -----
+        self.loop_waves = 0
+        self.numpy_waves = 0
+        self.hooked_waves = 0
 
     # ------------------------------------------------------------------
     # Columnar link state
@@ -109,11 +179,14 @@ class VectorKernel:
         cap = max(64, self._cap * 2)
         while cap < need:
             cap *= 2
-        for name in ("_busy", "_qd", "_pkts", "_bytes"):
-            old = getattr(self, name)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[: self._n_edges] = old[: self._n_edges]
-            setattr(self, name, new)
+        live = self._n_edges
+        for backing, code, view in _COLUMNS:
+            # A fresh buffer each time: the old one is pinned at its size
+            # by the ndarray view exported from it.
+            column = getattr(self, backing)[:live]
+            column.frombytes(bytes(column.itemsize * (cap - live)))
+            setattr(self, backing, column)
+            setattr(self, view, np.frombuffer(column, dtype=code))
         self._cap = cap
 
     def _intern(self, key: int) -> int:
@@ -128,8 +201,8 @@ class VectorKernel:
 
     def invalidate(self, *stale_keys: int) -> None:
         """Topology changed (churn): forget ``stale_keys``' edge ids so a
-        re-attached hop interns fresh zeroed state, and mark the CSR for
-        lazy rebuild."""
+        re-attached hop interns fresh zeroed state, and mark the
+        adjacency for lazy rebuild."""
         for key in stale_keys:
             self._edge_of.pop(key, None)
         self._dirty = True
@@ -142,24 +215,31 @@ class VectorKernel:
         eid = self._edge_of.get(u_id << _HOP_SHIFT | v_id)
         if eid is None:
             return
-        link.busy_until = float(self._busy[eid])
-        link.queueing_delay_total = float(self._qd[eid])
-        link.packets_carried = int(self._pkts[eid])
-        link.bytes_carried = int(self._bytes[eid])
+        link.busy_until = self._busy[eid]
+        link.queueing_delay_total = self._qd[eid]
+        link.packets_carried = self._pkts[eid]
+        link.bytes_carried = self._bytes[eid]
+
+    def stats(self) -> dict[str, int]:
+        """Fired wave entries by executor (initial sends and unicast hops
+        are not waves)."""
+        return {
+            "loop_waves": self.loop_waves,
+            "numpy_waves": self.numpy_waves,
+            "hooked_waves": self.hooked_waves,
+        }
 
     # ------------------------------------------------------------------
-    # CSR adjacency
+    # Adjacency
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
         """Rebuild both CSR tables from the network's live adjacency (the
-        single source of truth under membership churn).  Row order equals
-        ``_adj`` iteration order, so vectorised hop order is exactly the
-        python kernel's loop order."""
+        single source of truth under membership churn) and forget the
+        loop executor's rows.  Row order equals ``_adj`` iteration order,
+        so hop order is exactly the python kernel's loop order."""
         net = self.net
-        for adj, ptr_name, to_name, edge_name in (
-            (net._adj, "_ptr", "_adj_to", "_adj_edge"),
-            (net._child_adj, "_cptr", "_cadj_to", "_cadj_edge"),
-        ):
+        tables = []
+        for adj in (net._adj, net._child_adj):
             n = len(adj)
             total = sum(len(records) for records in adj)
             ptr = np.zeros(n + 1, dtype=np.int64)
@@ -174,29 +254,34 @@ class VectorKernel:
                     adj_edge[i] = self._intern(node << _HOP_SHIFT | to)
                     i += 1
             ptr[n] = i
-            setattr(self, ptr_name, ptr)
-            setattr(self, to_name, adj_to)
-            setattr(self, edge_name, adj_edge)
+            tables.append((ptr, adj_to, adj_edge))
+        self._csr, self._child_csr = tables
+        self._rows = _Rows(net._adj, self._edge_of)
+        self._child_rows = _Rows(net._child_adj, self._edge_of)
         self._drop_cache.clear()
         self._dirty = False
 
     # ------------------------------------------------------------------
-    # Fast-path eligibility
+    # Hooks
     # ------------------------------------------------------------------
-    def _fast_ok(self, packet: Any) -> bool:
-        """True when vectorised processing is observably identical to the
-        per-hop path for this packet *now* (see module docstring)."""
+    def _drops(self, packet: Any) -> Any:
+        """What stands between ``packet`` and an unobserved crossing *now*:
+        ``_HOOKED`` when something can observe or decide its individual
+        hops (see module docstring); otherwise the edge ids on which it
+        deterministically dies — the union over recognised trace-drop
+        rules, as ``(set for the loop, array for np.isin)`` — or None
+        when it crosses everything."""
         net = self.net
         if net.drop_fn is not None or self.sim.tracer is not None:
-            return False
+            return _HOOKED
         faults = net.faults
         if faults is None:
-            return True
+            return None
         if faults._down or not faults._rules_data_only:
-            return False
+            return _HOOKED
         if packet.kind is not _DATA_KIND:
             # The network's own gate skips on_hop entirely here.
-            return True
+            return None
         rules = faults._hop_rules
         if rules is not self._rules_src or len(rules) != self._rules_len:
             combos: list | None = []
@@ -209,422 +294,42 @@ class VectorKernel:
             self._rules_src = rules
             self._rules_len = len(rules)
             self._rules_combos = None if combos is None else tuple(combos)
-        return self._rules_combos is not None
-
-    def _drop_edges(self, seqno: int) -> np.ndarray | None:
-        """Edge ids on which DATA packet ``seqno`` deterministically dies
-        (union over recognised trace-drop rules); None when it crosses
-        everything.  Cached per seqno until the next CSR rebuild."""
+            self._drop_cache.clear()
+        if self._rules_combos is None:
+            return _HOOKED
+        seqno = packet.seqno
         cache = self._drop_cache
         if seqno in cache:
             return cache[seqno]
-        ids = self.net._ids
+        ids = net._ids
         edge_of = self._edge_of
         eids: set[int] = set()
-        for table in self._rules_combos:  # type: ignore[union-attr]
+        for table in self._rules_combos:
             for u, v in table.get(seqno, ()):
                 eid = edge_of.get(ids[u] << _HOP_SHIFT | ids[v])
                 if eid is not None:  # detached hops are never crossed
                     eids.add(eid)
-        arr = (
-            np.fromiter(eids, dtype=np.int32, count=len(eids)) if eids else None
+        drops = cache[seqno] = (
+            (frozenset(eids), np.fromiter(eids, dtype=np.int32, count=len(eids)))
+            if eids
+            else None
         )
-        cache[seqno] = arr
-        return arr
+        return drops
 
-    # ------------------------------------------------------------------
-    # Entry points (called by Network's send primitives)
-    # ------------------------------------------------------------------
-    def flood_from(self, origin: int, packet: Any, slot: int) -> None:
-        """The synchronous half of ``Network.multicast``."""
-        self._forward_flood_one(origin, -1, packet, slot)
-
-    def subcast_from(self, router: int, packet: Any, origin: int, slot: int) -> None:
-        self._forward_subcast_one(router, packet, origin, slot)
-
-    def unicast_transmit(
-        self,
-        path: tuple[int, ...],
-        index: int,
-        packet: Any,
-        then_subcast: bool,
-        slot: int,
-    ) -> None:
-        """Mirror of ``Network._unicast_transmit`` on the columns: unicast
-        is a single chain of hops, inherently scalar."""
-        if self._dirty:
-            self._rebuild()
-        u = path[index]
-        v = path[index + 1]
-        eid = self._edge_of.get(u << _HOP_SHIFT | v)
-        if eid is None:
-            # The next hop detached mid-flight (membership churn).
-            self.net.packets_dropped += 1
-            return
-        self._transmit_one(
-            eid,
-            u,
-            v,
-            packet,
-            slot,
-            self._unicast_arrival,
-            (path, index, packet, then_subcast, slot),
-        )
-
-    def _unicast_arrival(
-        self,
-        path: tuple[int, ...],
-        index: int,
-        packet: Any,
-        then_subcast: bool,
-        slot: int,
-    ) -> None:
+    def _consult(
+        self, u_id: int, v_id: int, eid: int, packet: Any
+    ) -> tuple[int, float] | None:
+        """The hooks of one crossing, in ``Network._transmit`` order:
+        ``drop_fn``, the fault injector, then the hop's trace events.
+        None when the packet dies here, else ``(copies, extra_delay)``."""
         net = self.net
-        if index + 2 < len(path):
-            self.unicast_transmit(path, index + 1, packet, then_subcast, slot)
-            return
-        node = path[index + 1]
-        if then_subcast:
-            self._forward_subcast_one(
-                node, packet, net._ids[packet.origin], slot
-            )
-            return
-        agent = net._agents_by_id[node]
-        if agent is None:
-            if node in net._detached_ids:
-                net.packets_dropped += 1
-                return
-            raise RuntimeError(
-                f"unicast destination {net._names[node]!r} has no agent"
-            )
-        net._deliver(node, agent, packet)
-
-    # ------------------------------------------------------------------
-    # Wave callbacks (fired as raw engine entries)
-    # ------------------------------------------------------------------
-    def _wave_flood(
-        self, packet: Any, slot: int, to_ids: np.ndarray, from_ids: np.ndarray
-    ) -> None:
-        sim = self.sim
-        # One engine event stands in for len(wave) python-kernel arrivals.
-        sim._events_processed += len(to_ids) - 1
-        if self._dirty:
-            self._rebuild()
-        net = self.net
-        if self._fast_ok(packet):
-            hop_from, hop_to, hop_edge = self._expand_flood(to_ids, from_ids)
-            if hop_edge is not None:
-                self._transmit_fast(packet, slot, hop_from, hop_to, hop_edge, -1)
-            agents = net._agents_by_id
-            delivered = 0
-            for node in to_ids.tolist():
-                agent = agents[node]
-                if agent is not None:
-                    delivered += 1
-                    agent.receive(packet)
-            net.packets_delivered += delivered
-        else:
-            # Per-arrival scalar replay, in exact bucket order: deliver,
-            # then expand hop by hop (draw order, counters, traces).
-            for node, frm in zip(to_ids.tolist(), from_ids.tolist()):
-                self._arrival_flood(node, frm, packet, slot)
-
-    def _wave_subcast(
-        self, packet: Any, slot: int, origin: int, to_ids: np.ndarray
-    ) -> None:
-        sim = self.sim
-        sim._events_processed += len(to_ids) - 1
-        if self._dirty:
-            self._rebuild()
-        net = self.net
-        if self._fast_ok(packet):
-            hop_from, hop_to, hop_edge = self._expand_subcast(to_ids)
-            if hop_edge is not None:
-                self._transmit_fast(
-                    packet, slot, hop_from, hop_to, hop_edge, origin
-                )
-            agents = net._agents_by_id
-            delivered = 0
-            for node in to_ids.tolist():
-                agent = agents[node]
-                if agent is not None and node != origin:
-                    delivered += 1
-                    agent.receive(packet)
-            net.packets_delivered += delivered
-        else:
-            for node in to_ids.tolist():
-                self._arrival_subcast(node, packet, origin, slot)
-
-    # ------------------------------------------------------------------
-    # Scalar arrivals (mirrors of the python kernel's callbacks)
-    # ------------------------------------------------------------------
-    def _arrival_flood(
-        self, node: int, from_node: int, packet: Any, slot: int
-    ) -> None:
-        net = self.net
-        agent = net._agents_by_id[node]
-        if agent is not None:
-            net.packets_delivered += 1
-            if self.sim.tracer is not None:
-                net._trace_deliver(node, packet)
-            agent.receive(packet)
-        self._forward_flood_one(node, from_node, packet, slot)
-
-    def _arrival_subcast(
-        self, node: int, packet: Any, origin: int, slot: int
-    ) -> None:
-        net = self.net
-        agent = net._agents_by_id[node]
-        if agent is not None and node != origin:
-            net._deliver(node, agent, packet)
-        self._forward_subcast_one(node, packet, origin, slot)
-
-    # ------------------------------------------------------------------
-    # Single-node forwarding (initial sends and scalar arrivals)
-    # ------------------------------------------------------------------
-    def _forward_flood_one(
-        self, node: int, from_node: int, packet: Any, slot: int
-    ) -> None:
-        if self._dirty:
-            self._rebuild()
-        lo = self._ptr[node]
-        hi = self._ptr[node + 1]
-        if lo == hi:
-            return
-        if self._fast_ok(packet):
-            hop_to = self._adj_to[lo:hi]
-            hop_edge = self._adj_edge[lo:hi]
-            if from_node >= 0:
-                keep = hop_to != from_node
-                if not keep.all():
-                    hop_to = hop_to[keep]
-                    hop_edge = hop_edge[keep]
-                    if not len(hop_edge):
-                        return
-            hop_from = np.full(len(hop_to), node, dtype=np.int32)
-            self._transmit_fast(packet, slot, hop_from, hop_to, hop_edge, -1)
-        else:
-            adj_to = self._adj_to
-            adj_edge = self._adj_edge
-            for j in range(lo, hi):
-                to = int(adj_to[j])
-                if to != from_node:
-                    self._transmit_one(
-                        int(adj_edge[j]),
-                        node,
-                        to,
-                        packet,
-                        slot,
-                        self._arrival_flood,
-                        (to, node, packet, slot),
-                    )
-
-    def _forward_subcast_one(
-        self, node: int, packet: Any, origin: int, slot: int
-    ) -> None:
-        if self._dirty:
-            self._rebuild()
-        lo = self._cptr[node]
-        hi = self._cptr[node + 1]
-        if lo == hi:
-            return
-        if self._fast_ok(packet):
-            hop_to = self._cadj_to[lo:hi]
-            hop_edge = self._cadj_edge[lo:hi]
-            hop_from = np.full(len(hop_to), node, dtype=np.int32)
-            self._transmit_fast(packet, slot, hop_from, hop_to, hop_edge, origin)
-        else:
-            adj_to = self._cadj_to
-            adj_edge = self._cadj_edge
-            for j in range(lo, hi):
-                to = int(adj_to[j])
-                self._transmit_one(
-                    int(adj_edge[j]),
-                    node,
-                    to,
-                    packet,
-                    slot,
-                    self._arrival_subcast,
-                    (to, packet, origin, slot),
-                )
-
-    # ------------------------------------------------------------------
-    # Vectorised expansion
-    # ------------------------------------------------------------------
-    def _expand_flood(self, to_ids, from_ids):
-        """Gather every outgoing hop of the frontier, excluding each
-        node's arrival link — node-major, adjacency order, i.e. exactly
-        the order the python kernel's nested loops enqueue them."""
-        ptr = self._ptr
-        counts = ptr[to_ids + 1] - ptr[to_ids]
-        total = int(counts.sum())
-        if total == 0:
-            return None, None, None
-        cum = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            cum - counts, counts
-        )
-        pos = np.repeat(ptr[to_ids], counts) + offsets
-        hop_to = self._adj_to[pos]
-        hop_edge = self._adj_edge[pos]
-        hop_from = np.repeat(to_ids, counts)
-        keep = hop_to != np.repeat(from_ids, counts)
-        if not keep.all():
-            hop_to = hop_to[keep]
-            hop_edge = hop_edge[keep]
-            hop_from = hop_from[keep]
-            if not len(hop_edge):
-                return None, None, None
-        return hop_from, hop_to, hop_edge
-
-    def _expand_subcast(self, to_ids):
-        ptr = self._cptr
-        counts = ptr[to_ids + 1] - ptr[to_ids]
-        total = int(counts.sum())
-        if total == 0:
-            return None, None, None
-        cum = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            cum - counts, counts
-        )
-        pos = np.repeat(ptr[to_ids], counts) + offsets
-        return np.repeat(to_ids, counts), self._cadj_to[pos], self._cadj_edge[pos]
-
-    # ------------------------------------------------------------------
-    # Vectorised transmission
-    # ------------------------------------------------------------------
-    def _transmit_fast(
-        self,
-        packet: Any,
-        slot: int,
-        hop_from: np.ndarray,
-        hop_to: np.ndarray,
-        hop_edge: np.ndarray,
-        subcast_origin: int,
-    ) -> None:
-        """Cross every hop at once.  Within one wave every directed edge
-        appears at most once (tree flood), so the elementwise column
-        updates are exact replays of per-hop sequential updates."""
-        net = self.net
-        n_hops = len(hop_edge)
-        # Crossings count before loss, exactly like Network._transmit.
-        crossings = net.crossings
-        crossings._slots[slot] += n_hops
-        crossings._kind_counts[_SLOT_ROW[slot]] += n_hops
-        crossings._cast_counts[_SLOT_COL[slot]] += n_hops
-        crossings._total += n_hops
-        # Deterministic trace losses (§4.3), batched.
-        if (
-            net.faults is not None
-            and packet.kind is _DATA_KIND
-            and self._rules_combos
-        ):
-            drops = self._drop_edges(packet.seqno)
-            if drops is not None:
-                dropped = np.isin(hop_edge, drops)
-                n_dropped = int(dropped.sum())
-                if n_dropped:
-                    net.packets_dropped += n_dropped
-                    keep = ~dropped
-                    hop_from = hop_from[keep]
-                    hop_to = hop_to[keep]
-                    hop_edge = hop_edge[keep]
-                    if not len(hop_edge):
-                        return
-        # Link math — float-op order identical to the inline enqueue in
-        # Network._transmit (all links share bandwidth, so tx is scalar).
-        sim = self.sim
-        now = sim._now
-        busy = self._busy[hop_edge]
-        start = np.maximum(busy, now)
-        self._qd[hop_edge] += start - now
-        size = packet.size_bytes
-        if size > 0:
-            end = start + size * 8.0 / net.bandwidth_bps
-            self._bytes[hop_edge] += size
-        else:
-            end = start
-        self._busy[hop_edge] = end
-        self._pkts[hop_edge] += 1
-        arrival = end + net.propagation_delay
-        self._schedule_waves(
-            packet, slot, subcast_origin, hop_to, hop_from, arrival
-        )
-
-    def _schedule_waves(
-        self,
-        packet: Any,
-        slot: int,
-        subcast_origin: int,
-        hop_to: np.ndarray,
-        hop_from: np.ndarray,
-        arrival: np.ndarray,
-    ) -> None:
-        """Group hops by arrival instant into wave entries.
-
-        Hops sharing an instant stay in hop order (stable grouping), so
-        the wave entry is byte-equivalent to the python kernel's
-        contiguous per-hop appends into that bucket.  Creation order
-        *across* distinct instants is immaterial — a bucket's heap
-        position depends only on its timestamp.
-        """
-        sim = self.sim
-        buckets = sim._buckets
-        flood = subcast_origin < 0
-        wave_cb = self._wave_flood if flood else self._wave_subcast
-        if arrival[0] == arrival[-1] and (arrival == arrival[0]).all():
-            groups = ((float(arrival[0]), slice(None)),)
-        else:
-            uniq, inverse = np.unique(arrival, return_inverse=True)
-            order = np.argsort(inverse, kind="stable")
-            sizes = np.bincount(inverse)
-            times = uniq.tolist()
-            groups = []
-            offset = 0
-            for gi, t in enumerate(times):
-                sz = int(sizes[gi])
-                groups.append((t, order[offset : offset + sz]))
-                offset += sz
-        for t, idx in groups:
-            wt = hop_to[idx]
-            if flood:
-                args = (packet, slot, wt, hop_from[idx])
-            else:
-                args = (packet, slot, subcast_origin, wt)
-            bucket = buckets.get(t)
-            if bucket is not None:
-                bucket.append((wave_cb, args))
-            else:
-                sim.schedule_raw(t, wave_cb, args)
-
-    # ------------------------------------------------------------------
-    # Scalar transmission (exact mirror of Network._transmit on columns)
-    # ------------------------------------------------------------------
-    def _transmit_one(
-        self,
-        eid: int,
-        u_id: int,
-        v_id: int,
-        packet: Any,
-        slot: int,
-        on_arrival: Any,
-        args: tuple,
-    ) -> None:
-        net = self.net
-        names = net._names
-        u = names[u_id]
-        v = names[v_id]
-        crossings = net.crossings
-        crossings._slots[slot] += 1
-        crossings._kind_counts[_SLOT_ROW[slot]] += 1
-        crossings._cast_counts[_SLOT_COL[slot]] += 1
-        crossings._total += 1
-        sim = self.sim
-        tracer = sim.tracer
+        u = net._names[u_id]
+        v = net._names[v_id]
+        tracer = self.sim.tracer
         if net.drop_fn is not None and net.drop_fn(u, v, packet):
             net._record_drop(u, v, packet, tracer)
-            return
-        duplicate = False
+            return None
+        copies = 1
         extra_delay = 0.0
         faults = net.faults
         if faults is not None and (
@@ -636,15 +341,13 @@ class VectorKernel:
             if effect is not None:
                 if effect.drop:
                     net._record_drop(u, v, packet, tracer)
-                    return
-                duplicate = effect.duplicate
+                    return None
+                if effect.duplicate:
+                    copies = 2
                 extra_delay = effect.extra_delay
-        now = sim._now
-        busy = float(self._busy[eid])
         if tracer is not None:
-            from repro.obs.events import EventKind
-
-            wait = busy - now
+            now = self.sim._now
+            wait = self._busy[eid] - now
             tracer.emit(
                 now,
                 EventKind.NET_HOP,
@@ -666,39 +369,331 @@ class VectorKernel:
                     wait=wait,
                 )
                 tracer.observe("net.queueing_delay", wait)
-        start = busy if busy > now else now
+        return copies, extra_delay
+
+    # ------------------------------------------------------------------
+    # Entry points (called by Network's send primitives)
+    # ------------------------------------------------------------------
+    def flood_from(self, origin: int, packet: Any, slot: int) -> None:
+        """The synchronous half of ``Network.multicast``: a frontier of
+        one that crosses its hops without being delivered to."""
+        self._wave(packet, slot, [origin], [-1], -1, False)
+
+    def subcast_from(self, router: int, packet: Any, origin: int, slot: int) -> None:
+        self._wave(packet, slot, [router], None, origin, False)
+
+    def unicast_transmit(
+        self,
+        path: tuple[int, ...],
+        index: int,
+        packet: Any,
+        then_subcast: bool,
+        slot: int,
+    ) -> None:
+        """``Network._unicast_transmit`` on the columns: the loop executor
+        over a frontier of one whose row is the path's single next hop."""
+        if self._dirty:
+            self._rebuild()
+        u = path[index]
+        v = path[index + 1]
+        eid = self._edge_of.get(u << _HOP_SHIFT | v)
+        if eid is None:
+            # The next hop detached mid-flight (membership churn).
+            self.net.packets_dropped += 1
+            return
+        groups = self._cross_loop(
+            packet, slot, (u,), None, {u: ((v, eid),)}, -1, False,
+            self._drops(packet),
+        )
+        sim = self.sim
+        args = (path, index, packet, then_subcast, slot)
+        for t, (arrivals, _) in groups.items():
+            for _ in arrivals:  # twice when the hop was duplicated
+                sim.schedule_raw(t, self._unicast_arrival, args)
+
+    def _unicast_arrival(
+        self,
+        path: tuple[int, ...],
+        index: int,
+        packet: Any,
+        then_subcast: bool,
+        slot: int,
+    ) -> None:
+        net = self.net
+        if index + 2 < len(path):
+            self.unicast_transmit(path, index + 1, packet, then_subcast, slot)
+            return
+        node = path[index + 1]
+        if then_subcast:
+            self.subcast_from(node, packet, net._ids[packet.origin], slot)
+            return
+        agent = net._agents_by_id[node]
+        if agent is None:
+            if node in net._detached_ids:
+                net.packets_dropped += 1
+                return
+            raise RuntimeError(
+                f"unicast destination {net._names[node]!r} has no agent"
+            )
+        net._deliver(node, agent, packet)
+
+    # ------------------------------------------------------------------
+    # Waves (fired as raw engine entries)
+    # ------------------------------------------------------------------
+    def _wave(
+        self,
+        packet: Any,
+        slot: int,
+        to_ids: Any,
+        from_ids: Any,
+        origin: int,
+        deliver: bool,
+    ) -> None:
+        """Cross every outgoing hop of the frontier ``to_ids`` — a flood
+        when ``from_ids`` names each node's arrival link, else a subcast
+        away from ``origin`` — and schedule the next waves.  Fired as an
+        engine entry (``deliver``) the frontier is an arrival: it counts
+        as one event per node and the packet goes to the nodes' agents."""
+        if self._dirty:
+            self._rebuild()
+        flood = from_ids is not None
+        drops = self._drops(packet)
+        hooked = drops is _HOOKED
+        on_loop = hooked or len(to_ids) < CROSSOVER
+        if deliver:
+            # One engine event stands in for len(wave) python-kernel
+            # arrivals.
+            self.sim._events_processed += len(to_ids) - 1
+            if hooked:
+                self.hooked_waves += 1
+            elif on_loop:
+                self.loop_waves += 1
+            else:
+                self.numpy_waves += 1
+        if on_loop:
+            if type(to_ids) is not list:
+                to_ids = to_ids.tolist()
+                if flood:
+                    from_ids = from_ids.tolist()
+            groups = self._cross_loop(
+                packet, slot, to_ids, from_ids,
+                self._rows if flood else self._child_rows,
+                origin, deliver, drops,
+            )
+        else:
+            if type(to_ids) is list:
+                to_ids = np.array(to_ids, dtype=np.int32)
+                if flood:
+                    from_ids = np.array(from_ids, dtype=np.int32)
+            groups = self._cross_numpy(packet, slot, to_ids, from_ids, drops)
+        if groups:
+            sim = self.sim
+            buckets = sim._buckets
+            wave = self._wave
+            for t, (hop_to, hop_from) in groups.items():
+                # The loop collects arrival links for a subcast too; drop them.
+                args = (packet, slot, hop_to, hop_from if flood else None, origin, True)
+                bucket = buckets.get(t)
+                if bucket is not None:
+                    bucket.append((wave, args))
+                else:
+                    sim.schedule_raw(t, wave, args)
+        if deliver and not hooked:
+            net = self.net
+            agents = net._agents_by_id
+            delivered = 0
+            for node in to_ids if type(to_ids) is list else to_ids.tolist():
+                agent = agents[node]
+                # Subcast can sweep back over the replier itself; a flood
+                # never revisits its origin (``origin`` is -1 there).
+                if agent is not None and node != origin:
+                    delivered += 1
+                    agent.receive(packet)
+            net.packets_delivered += delivered
+
+    # ------------------------------------------------------------------
+    # The per-edge step, rendered twice: python loop, numpy columns
+    # ------------------------------------------------------------------
+    def _cross_loop(
+        self,
+        packet: Any,
+        slot: int,
+        to_ids: Any,
+        from_ids: Any,
+        rows: Any,
+        origin: int,
+        deliver: bool,
+        drops: Any,
+    ) -> dict:
+        """Loop executor: node-major, adjacency order — exactly the order
+        the python kernel's nested loops enqueue hops — with the link
+        math of ``Network._transmit`` on scalar column reads and writes.
+        Returns ``{arrival instant: (to list, from list)}``, hops sharing
+        an instant in hop order.  Hooked (``drops is _HOOKED``), it delivers
+        to each node before its hops and consults :meth:`_consult` per hop."""
+        net = self.net
+        now = self.sim._now
+        busy = self._busy
+        qd = self._qd
+        pkts = self._pkts
+        nbytes = self._bytes
         size = packet.size_bytes
-        self._qd[eid] += start - now
+        tx = size * 8.0 / net.bandwidth_bps
+        propagation = net.propagation_delay
+        hooked = drops is _HOOKED
+        dead = () if hooked or drops is None else drops[0]
+        deliver_first = deliver and hooked
+        agents = net._agents_by_id
+        groups: dict = {}
+        crossed = 0
+        dropped = 0
+        copies = 1
+        extra_delay = 0.0
+        for node, from_node in zip(
+            to_ids, from_ids if from_ids is not None else repeat(-1)
+        ):
+            if deliver_first:
+                agent = agents[node]
+                if agent is not None and node != origin:
+                    net._deliver(node, agent, packet)
+            for to, eid in rows[node]:
+                if to == from_node:
+                    continue
+                crossed += 1  # crossings count before loss
+                if hooked:
+                    verdict = self._consult(node, to, eid, packet)
+                    if verdict is None:
+                        continue
+                    copies, extra_delay = verdict
+                elif eid in dead:
+                    dropped += 1
+                    continue
+                while True:
+                    # Float-op order identical to the inline enqueue in
+                    # Network._transmit (all links share one bandwidth).
+                    start = busy[eid]
+                    if start > now:
+                        qd[eid] += start - now
+                    else:
+                        start = now  # idle link: the delay added is +0.0
+                    if size > 0:
+                        end = start + tx
+                        nbytes[eid] += size
+                    else:
+                        end = start
+                    busy[eid] = end
+                    pkts[eid] += 1
+                    arrival = end + propagation + extra_delay
+                    group = groups.get(arrival)
+                    if group is None:
+                        groups[arrival] = ([to], [node])
+                    else:
+                        group[0].append(to)
+                        group[1].append(node)
+                    if copies == 1:
+                        break
+                    # The duplicate serialises behind the original on the
+                    # same link, exactly like LinkState.enqueue would.
+                    copies = 1
+                    crossed += 1
+        crossings = net.crossings
+        crossings._slots[slot] += crossed
+        crossings._kind_counts[_SLOT_ROW[slot]] += crossed
+        crossings._cast_counts[_SLOT_COL[slot]] += crossed
+        crossings._total += crossed
+        net.packets_dropped += dropped
+        return groups
+
+    def _cross_numpy(
+        self,
+        packet: Any,
+        slot: int,
+        to_ids: np.ndarray,
+        from_ids: np.ndarray | None,
+        drops: tuple | None,
+    ) -> dict:
+        """Numpy executor: the same hops in the same order as
+        :meth:`_cross_loop`, gathered from the CSR tables and crossed at
+        once.  Within one wave every directed edge appears at most once
+        (tree flood), so the elementwise column updates are exact replays
+        of per-hop sequential updates.  Returns ``{arrival instant: (to
+        array, from array or None for a subcast)}``."""
+        # Expansion: child counts -> cumsum -> repeat/arange offsets.
+        ptr, adj_to, adj_edge = self._csr if from_ids is not None else self._child_csr
+        base = ptr[to_ids]
+        counts = ptr[to_ids + 1] - base
+        total = int(counts.sum())
+        if total == 0:
+            return {}
+        cum = np.cumsum(counts)
+        pos = np.repeat(base - (cum - counts), counts) + np.arange(
+            total, dtype=np.int64
+        )
+        hop_to = adj_to[pos]
+        hop_edge = adj_edge[pos]
+        hop_from = None  # only a flood's next wave needs arrival links
+        if from_ids is not None:
+            hop_from = np.repeat(to_ids, counts)
+            keep = hop_to != np.repeat(from_ids, counts)
+            if not keep.all():
+                hop_to = hop_to[keep]
+                hop_edge = hop_edge[keep]
+                hop_from = hop_from[keep]
+        n_hops = len(hop_edge)
+        if n_hops == 0:
+            return {}
+        # Crossings count before loss, exactly like Network._transmit.
+        net = self.net
+        crossings = net.crossings
+        crossings._slots[slot] += n_hops
+        crossings._kind_counts[_SLOT_ROW[slot]] += n_hops
+        crossings._cast_counts[_SLOT_COL[slot]] += n_hops
+        crossings._total += n_hops
+        # Deterministic trace losses (§4.3), batched.
+        if drops is not None:
+            dropped = np.isin(hop_edge, drops[1])
+            n_dropped = int(dropped.sum())
+            if n_dropped:
+                net.packets_dropped += n_dropped
+                keep = ~dropped
+                if hop_from is not None:
+                    hop_from = hop_from[keep]
+                hop_to = hop_to[keep]
+                hop_edge = hop_edge[keep]
+                if not len(hop_edge):
+                    return {}
+        # Link math — float-op order identical to the inline enqueue in
+        # Network._transmit (all links share bandwidth, so tx is scalar).
+        now = self.sim._now
+        start = np.maximum(self._busy_np[hop_edge], now)
+        self._qd_np[hop_edge] += start - now
+        size = packet.size_bytes
         if size > 0:
             end = start + size * 8.0 / net.bandwidth_bps
-            self._bytes[eid] += size
+            self._bytes_np[hop_edge] += size
         else:
             end = start
-        self._busy[eid] = end
-        self._pkts[eid] += 1
-        arrival = end + net.propagation_delay + extra_delay
-        bucket = sim._buckets.get(arrival)
-        if bucket is not None:
-            bucket.append((on_arrival, args))
-        else:
-            sim.schedule_raw(arrival, on_arrival, args)
-        if duplicate:
-            # The copy serialises behind the original, exactly like
-            # LinkState.enqueue would.
-            crossings.record_slot(slot)
-            start2 = end if end > now else now
-            self._qd[eid] += start2 - now
-            if size > 0:
-                tx = size * 8.0 / net.bandwidth_bps
-                self._bytes[eid] += size
-            else:
-                tx = 0.0
-            end2 = start2 + tx
-            self._busy[eid] = end2
-            self._pkts[eid] += 1
-            sim.schedule_raw(
-                end2 + net.propagation_delay + extra_delay, on_arrival, args
-            )
+        self._busy_np[hop_edge] = end
+        self._pkts_np[hop_edge] += 1
+        arrival = end + net.propagation_delay
+        # Group by arrival instant.  Hops sharing an instant stay in hop
+        # order (stable grouping), so the wave entry is byte-equivalent
+        # to the python kernel's contiguous per-hop appends into that
+        # bucket.  Creation order *across* distinct instants is
+        # immaterial — a bucket's heap position depends only on its
+        # timestamp.
+        if arrival[0] == arrival[-1] and (arrival == arrival[0]).all():
+            return {float(arrival[0]): (hop_to, hop_from)}
+        uniq, inverse = np.unique(arrival, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.cumsum(np.bincount(inverse)).tolist()
+        groups = {}
+        lo = 0
+        for t, hi in zip(uniq.tolist(), bounds):
+            idx = order[lo:hi]
+            groups[t] = (hop_to[idx], None if hop_from is None else hop_from[idx])
+            lo = hi
+        return groups
 
 
-__all__ = ["VectorKernel"]
+__all__ = ["CROSSOVER", "VectorKernel"]
