@@ -231,7 +231,11 @@ def _v2_runs(trace, max_packets: int, reps: int = REPS) -> dict[str, dict]:
     # not hand the network back): which executor the regime exercises.
     simulation = build_simulation(trace, V2_PROTOCOL, configs["vector"])
     simulation.sim.run(until=simulation.end_time)
-    rows["vector"]["waves"] = simulation.network.kernel_stats()
+    rows["vector"]["waves"] = {
+        name: count
+        for name, count in simulation.network.kernel_stats().items()
+        if name.endswith("_waves")
+    }
     return rows
 
 

@@ -16,7 +16,9 @@ what the stack actually sustains, in three sections:
   multicasts fanned to all n members — and is measured separately.
   ``scale_curve_vector`` repeats the series under ``kernel="vector"``
   (kernel v2 delivery waves) so the trajectory shows the batching
-  payoff at 10^5 receivers; both curves must agree on event counts.
+  payoff at 10^5 receivers; both curves must agree on event counts,
+  and every vector point must report ``scalar_deliveries == 0`` (all
+  DATA counted on the reception columns, :mod:`repro.net.columns`).
 
 * ``expedited_advantage`` — CESRM vs SRM on the same lossy trace at the
   scales where SRM's global suppression is still affordable to
@@ -97,12 +99,18 @@ INDEX_PATCH_OPS = 200
 #: events/sec and the child's own peak RSS.
 _CHILD = """\
 import json, sys, time
+import repro.harness.runner as runner
 from repro.harness.config import SimulationConfig
 from repro.harness.runner import run_trace
 from repro.metrics.memory import peak_rss_mb
 from repro.workloads.topology import synthesize_topology_trace
 
 spec, packets, kernel = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+# Keep hold of the run's network: its kernel_stats() are counters the
+# run summary deliberately does not carry.
+built = []
+real_build = runner.build_simulation
+runner.build_simulation = lambda *a, **k: built.append(real_build(*a, **k)) or built[-1]
 t0 = time.perf_counter()
 trace = synthesize_topology_trace(spec, seed=0, max_packets=packets)
 synth_s = time.perf_counter() - t0
@@ -121,6 +129,7 @@ print(json.dumps({
     "sim_time": round(result.sim_time, 3),
     "losses": result.total_losses,
     "peak_rss_mb": peak_rss_mb(),
+    "kernel_stats": built[0].network.kernel_stats(),
 }))
 """
 
@@ -156,6 +165,14 @@ def _run_curve(kernel: str) -> list[dict]:
         assert row["receivers"] == n, spec
         assert row["losses"] == 0, spec  # propagation series is lossless
         assert row["events"] > n  # every receiver saw every packet
+        stats = row.pop("kernel_stats")
+        if kernel == "vector":
+            # Receivers as rows: on a loss-free primed run every DATA
+            # delivery is counted on a reception column, none is handed
+            # to agent.receive.  A count, not a timing.
+            assert stats["scalar_deliveries"] == 0, (spec, stats)
+            assert stats["column_deliveries"] == n * PACKETS, (spec, stats)
+            row["kernel_stats"] = stats
         row["spec"] = spec
         curve.append(row)
     # events/sec must not collapse at scale (heap growth is logarithmic)

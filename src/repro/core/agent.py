@@ -24,6 +24,7 @@ recovery scheme:
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from repro.core.cachelab import (
     CachePolicy,
@@ -31,14 +32,14 @@ from repro.core.cachelab import (
     RecoveryPairCache,
     RecoveryTuple,
 )
-from repro.core.policies import SelectionPolicy
+from repro.core.policies import SelectionPolicy, make_policy
 from repro.metrics.collector import MetricsCollector
 from repro.net.network import Network
 from repro.net.packet import CONTROL_BYTES, PAYLOAD_BYTES, Packet, PacketKind
 from repro.obs.events import EventKind
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
-from repro.srm.agent import SrmAgent
+from repro.srm.agent import SrmAgent, column_safe
 from repro.srm.constants import SrmParams
 from repro.srm.state import ReplyState, RequestState
 
@@ -49,7 +50,9 @@ class CesrmAgent(SrmAgent):
     Parameters (beyond :class:`~repro.srm.agent.SrmAgent`'s)
     ----------------------------------------------------------
     policy:
-        The expeditious-pair selection policy (§3.2).
+        The expeditious-pair selection policy (§3.2), or the registered
+        name of one — instantiated here, so every host keeps a policy
+        object of its own.
     cache_capacity:
         Number of recovery tuples kept per source (§3.1); the paper's
         most-recent-loss policy needs only 1, larger caches feed the
@@ -77,9 +80,9 @@ class CesrmAgent(SrmAgent):
         host_id: str,
         source: str,
         params: SrmParams,
-        rng: random.Random,
+        rng: random.Random | Callable[[], random.Random],
         metrics: MetricsCollector,
-        policy: SelectionPolicy,
+        policy: SelectionPolicy | str,
         cache_capacity: int = 16,
         reorder_delay: float = 0.0,
         session_period: float = 1.0,
@@ -100,7 +103,7 @@ class CesrmAgent(SrmAgent):
         )
         if reorder_delay < 0:
             raise ValueError(f"reorder_delay must be >= 0, got {reorder_delay!r}")
-        self.policy = policy
+        self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.cache_capacity = cache_capacity
         self.reorder_delay = reorder_delay
         self.cache_policy = cache_policy
@@ -392,6 +395,10 @@ class CesrmAgent(SrmAgent):
                 evicted=evicted,
             )
 
+    # column_safe, here and on _on_packet_obtained: the pop each one adds
+    # can only hit for a source this host has detected a loss on — and a
+    # host that has is no longer counted in that source's column.
+    @column_safe
     def _on_data(self, packet: Packet) -> None:
         super()._on_data(packet)
         # Data outran the expedited exchange (reordering): the attempt is
@@ -401,6 +408,7 @@ class CesrmAgent(SrmAgent):
     # ------------------------------------------------------------------
     # Hook: packet obtained -> cancel any pending expedited request
     # ------------------------------------------------------------------
+    @column_safe
     def _on_packet_obtained(self, src: str, seq: int) -> None:
         entry = self._expedited.pop((src, seq), None)
         if entry is not None:

@@ -31,7 +31,6 @@ from typing import Any, Callable
 
 from repro.core.agent import CesrmAgent
 from repro.core.cachelab import compile_cache_policy
-from repro.core.policies import make_policy
 from repro.core.router_assist import RouterAssistedCesrmAgent
 from repro.harness.config import SimulationConfig
 from repro.harness.registries import Registry
@@ -58,7 +57,8 @@ class ProtocolSpec:
     #: one; the instance is passed to every agent as ``fabric=``.
     fabric_factory: Callable[[MulticastTree], Any] | None = None
     #: Derives protocol-specific agent constructor kwargs from the config
-    #: (beyond the common sim/network/host/params/rng/metrics set).
+    #: (beyond the common sim/network/host/params/rng/metrics set).  The
+    #: runner calls it once per run and passes the same dict to every host.
     agent_kwargs: Callable[[SimulationConfig], dict[str, Any]] | None = None
     #: Given the built fabric, returns the callable the fault layer invokes
     #: when a host crashes (None = the protocol needs no notification).
@@ -122,17 +122,22 @@ all_protocol_specs = all_specs
 # Built-in protocols
 # ----------------------------------------------------------------------
 def _cesrm_kwargs(config: SimulationConfig) -> dict[str, Any]:
+    # Called once per build_simulation; the result is shared by every
+    # agent of the run, initial members and churn joiners alike.  The
+    # selection policy therefore travels by name — each agent makes its
+    # own instance (policies may keep state) — while the cache policy,
+    # which only stamps out per-(host, source) caches, is compiled here.
     kwargs = dict(
-        policy=make_policy(config.policy),
+        policy=config.policy,
         cache_capacity=config.cache_capacity,
         reorder_delay=config.reorder_delay,
     )
     if config.cache:
-        # Non-default recovery-cache policy: compile once per run; every
-        # agent builds its per-source caches from the compiled policy,
-        # seeded by the run seed (stochastic admission stays isolated
-        # from protocol jitter).  The default ("") path passes nothing,
-        # keeping agent construction byte-identical to pre-cachelab runs.
+        # Non-default recovery-cache policy: every agent builds its
+        # per-source caches from the one compiled policy, seeded by the
+        # run seed (stochastic admission stays isolated from protocol
+        # jitter).  The default ("") path passes nothing, keeping agent
+        # construction byte-identical to pre-cachelab runs.
         kwargs["cache_policy"] = compile_cache_policy(config.cache)
         kwargs["cache_seed"] = config.seed
     return kwargs

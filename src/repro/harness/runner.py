@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.faults import FaultInjector, FaultPlan, recovery_loss_rule, trace_drop_rule
@@ -231,25 +232,32 @@ def build_simulation(
 
     fabric = spec.build_fabric(tree)
 
+    # Everything but the host's name and random stream is per run, not
+    # per host: resolved once here, shared by every agent.
+    agent_cls = spec.agent_cls
+    shared_kwargs: dict = dict(
+        sim=sim,
+        network=network,
+        source=tree.source,
+        params=config.params,
+        metrics=metrics,
+        session_period=config.session_period,
+        detect_on_request=config.detect_on_request,
+        **spec.extra_agent_kwargs(config),
+    )
+    if fabric is not None:
+        shared_kwargs.update(fabric=fabric)
+    stream = registry.stream
+
     def make_agent(host: str) -> SrmAgent:
         # One recipe for initial members and churn joiners alike: every
         # agent draws jitter from its own named stream, so membership
-        # changes never perturb another host's randomness.
-        kwargs: dict = dict(
-            sim=sim,
-            network=network,
-            host_id=host,
-            source=tree.source,
-            params=config.params,
-            rng=registry.stream(f"agent:{host}"),
-            metrics=metrics,
-            session_period=config.session_period,
-            detect_on_request=config.detect_on_request,
+        # changes never perturb another host's randomness.  Streams are
+        # hash-derived from (seed, name), so the agent resolves its own
+        # on the first draw — most hosts never draw.
+        return agent_cls(
+            host_id=host, rng=partial(stream, f"agent:{host}"), **shared_kwargs
         )
-        kwargs.update(spec.extra_agent_kwargs(config))
-        if fabric is not None:
-            kwargs.update(fabric=fabric)
-        return spec.agent_cls(**kwargs)
 
     agents: dict[str, SrmAgent] = {host: make_agent(host) for host in tree.hosts}
 
@@ -371,8 +379,13 @@ def run_trace(
 
     trace = simulation.trace.trace
     metrics = simulation.metrics
-    for host, count in _finalize_unrecovered(simulation).items():
-        metrics.unrecovered[host] = count
+    unrecovered = {
+        host: pending
+        for host, agent in simulation.agents.items()
+        if (pending := agent.unrecovered_losses())
+    }
+    for host, pending in unrecovered.items():
+        metrics.unrecovered[host] = len(pending)
 
     rtts = {
         host: agent.rtt_to_source()
@@ -397,11 +410,7 @@ def run_trace(
         overhead=overhead_breakdown(simulation.network.crossings),
         crossings_snapshot=simulation.network.crossings.snapshot(),
         rtt_to_source=rtts,
-        unrecovered={
-            host: agent.unrecovered_losses()
-            for host, agent in simulation.agents.items()
-            if agent.unrecovered_losses()
-        },
+        unrecovered=unrecovered,
         n_packets=trace.n_packets,
         total_losses=trace.total_losses,
         sim_time=sim.now,
@@ -482,14 +491,3 @@ def _cache_stats(simulation: Simulation, metrics: MetricsCollector) -> dict:
         ),
         "occupancy": occupancy,
     }
-
-
-def _finalize_unrecovered(simulation: Simulation) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for host, agent in simulation.agents.items():
-        pending = agent.unrecovered_losses()
-        if pending:
-            out[host] = len(pending)
-    return out
-
-

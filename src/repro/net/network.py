@@ -16,6 +16,15 @@ Three propagation modes exist, mirroring the paper:
 * ``subcast`` — downstream flood from a router (router-assisted CESRM,
   §3.3), reaching only the subtree below the turning point.
 
+Under ``kernel="vector"`` the network also holds the *reception columns*
+(:mod:`repro.net.columns`): an agent attached with ``plain=True`` is a
+row whose in-order DATA packets the delivery waves count instead of
+delivering, until the agent asks for its counts back (:meth:`Network
+.hand_over`) or the host is unseated (a proxy attached over it,
+:meth:`Network.withdraw` on a crash, :meth:`Network.detach_subtree`).
+The python kernel below never consults a column — it is the all-scalar
+oracle the columnar path is differential-tested against.
+
 Internally every mode runs on the integer-indexed forwarding kernel: node
 ids are interned once through the tree's :class:`~repro.net.index
 .TopologyIndex`, each directed hop is a prebuilt record carrying its
@@ -245,9 +254,16 @@ class Network:
         #: pure-python per-hop path, the oracle the vector kernel is
         #: byte-equivalence-tested against.
         self._vk = None
+        #: Receivers as rows (:mod:`repro.net.columns`): in-order DATA
+        #: reception state of every seated host, advanced by the vector
+        #: kernel's waves.  None under the python kernel, which stays the
+        #: all-scalar oracle — every agent then holds its own state.
+        self._columns = None
         if kernel == "vector":
+            from repro.net.columns import ReceptionColumns
             from repro.net.vector import VectorKernel
 
+            self._columns = ReceptionColumns(n)
             self._vk = VectorKernel(self)
         elif kernel != "python":
             raise ValueError(
@@ -257,15 +273,66 @@ class Network:
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
-    def attach(self, host_id: str, agent: Agent) -> None:
-        """Attach a protocol agent at a host node (source or receiver)."""
+    def attach(self, host_id: str, agent: Agent, plain: bool = False) -> None:
+        """Attach a protocol agent at a host node (source or receiver).
+
+        ``plain`` enrolls a fresh agent on the reception columns: until
+        something other than the next in-order DATA packet concerns it,
+        the vector kernel counts its packets in a column row instead of
+        calling ``receive`` (see :mod:`repro.net.columns`; the agent must
+        offer ``adopt``).  Attaching anything else — a timing proxy around
+        the agent, a test sink — unseats the host: whoever was enrolled
+        there is handed its counts, and every later packet is delivered
+        through ``receive``.
+        """
         if self.tree.kind(host_id) is NodeKind.ROUTER:
             raise ValueError(f"cannot attach an agent at router {host_id!r}")
+        node = self._ids[host_id]
         self._agents[host_id] = agent
-        self._agents_by_id[self._ids[host_id]] = agent
+        self._agents_by_id[node] = agent
+        if self._columns is not None:
+            self._unseat(node)
+            if plain:
+                self._columns.seat(node, agent)
 
     def agent(self, host_id: str) -> Agent:
         return self._agents[host_id]
+
+    # ------------------------------------------------------------------
+    # Reception columns (no-ops under the python kernel)
+    # ------------------------------------------------------------------
+    def hand_over(
+        self, agent: Agent, src: str | None
+    ) -> tuple[tuple[str, int], ...]:
+        """``agent`` is about to create its state for ``src`` (None: for
+        every source it has received from): the ``(source, in-order
+        packets received)`` pairs to create, in the order scalar delivery
+        would have first touched them.  Off the columns that is ``src``
+        with nothing received."""
+        node = self._seat_of(agent)
+        if node is not None:
+            return self._columns.hand_over(node, src)
+        return () if src is None else ((src, 0),)
+
+    def withdraw(self, agent: Agent) -> None:
+        """``agent`` crashed: no packet reaches it through the columns
+        from here on (it adopts what it was counted for)."""
+        node = self._seat_of(agent)
+        if node is not None:
+            self._unseat(node)
+
+    def _seat_of(self, agent: Agent) -> int | None:
+        """The row ``agent`` is counted in, if it is counted at all."""
+        if self._columns is not None:
+            node = self._ids[agent.host_id]
+            if self._columns.owner(node) is agent:
+                return node
+        return None
+
+    def _unseat(self, node: int) -> None:
+        owner, handed = self._columns.unseat(node)
+        if owner is not None:
+            owner.adopt(handed)
 
     # ------------------------------------------------------------------
     # Membership churn
@@ -294,6 +361,8 @@ class Network:
             self._agents_by_id.append(None)
             self._adj.append(())
             self._child_adj.append(())
+        if self._columns is not None:
+            self._columns.grow(index.n)
         names = self._names
         hop_record = self._hop_record
         for u, v in ((pid, nid), (nid, pid)):
@@ -330,6 +399,8 @@ class Network:
             self._detached_ids.add(rid)
             self._agents.pop(rname, None)
             self._agents_by_id[rid] = None
+            if self._columns is not None:
+                self._unseat(rid)
             self._adj[rid] = ()
             self._child_adj[rid] = ()
             prid = index.parent[rid]  # tombstones keep their parent pointer
@@ -353,9 +424,19 @@ class Network:
     def kernel_stats(self) -> dict[str, int]:
         """Always-on forwarding-kernel counters: under ``kernel="vector"``
         the fired wave entries by executor (``loop_waves``,
-        ``numpy_waves``, ``hooked_waves``); empty under the python
-        kernel, which has no waves.  Not part of any run summary."""
-        return self._vk.stats() if self._vk is not None else {}
+        ``numpy_waves``, ``hooked_waves``) and the deliveries by path —
+        ``column_deliveries`` counted in a reception-column row,
+        ``scalar_deliveries`` handed to ``agent.receive``; the two sum to
+        ``packets_delivered``.  Empty under the python kernel, which has
+        neither waves nor columns.  Not part of any run summary."""
+        if self._vk is None:
+            return {}
+        on_column = self._columns.deliveries
+        return {
+            **self._vk.stats(),
+            "column_deliveries": on_column,
+            "scalar_deliveries": self.packets_delivered - on_column,
+        }
 
     # ------------------------------------------------------------------
     # Latency helpers

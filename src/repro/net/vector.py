@@ -64,6 +64,13 @@ Two rules keep that true:
   a delayed one simply lands in a later wave.  Unhooked waves cross all
   hops first and deliver afterwards, identically under both executors.
 
+An unhooked DATA flood delivers through the network's *reception
+columns* first (:mod:`repro.net.columns`): every plain host of the
+frontier that is due exactly this packet takes it as ``count += 1`` on
+the source's column, and only the rest get ``agent.receive`` — in wave
+order.  In-order DATA at a plain host touches nothing but that count, so
+the order among the counted hosts is immaterial.
+
 Why that reordering inside an unhooked wave is safe: flood deliveries
 never send synchronously (receive paths only arm jittered timers), a
 tree flood crosses each directed edge at most once per packet, and
@@ -502,7 +509,16 @@ class VectorKernel:
             net = self.net
             agents = net._agents_by_id
             delivered = 0
-            for node in to_ids if type(to_ids) is list else to_ids.tolist():
+            if flood and packet.kind is _DATA_KIND:
+                # Receivers as rows: plain hosts due exactly this packet
+                # take it as ``count += 1`` on the source's column; only
+                # the rest of the frontier is delivered to, in wave order.
+                rest = net._columns.deliver(packet.source, packet.seqno, to_ids)
+                delivered = len(to_ids) - len(rest)
+                to_ids = rest
+            elif type(to_ids) is not list:
+                to_ids = to_ids.tolist()
+            for node in to_ids:
                 agent = agents[node]
                 # Subcast can sweep back over the replier itself; a flood
                 # never revisits its origin (``origin`` is -1 there).

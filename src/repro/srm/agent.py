@@ -20,6 +20,20 @@ scheme without duplicating any of the SRM machinery:
 ``_after_loss_detected``, ``_on_reply_observed``, ``_on_packet_obtained``,
 and ``_on_expedited_request``.
 
+Pay per use: losses are rare and local, so most hosts spend a run doing
+nothing but taking the next in-order packet, and an agent builds nothing
+it has not been asked for.  Its random stream is resolved on the first
+draw (``rng`` may be a factory; see :class:`_DeferredStream`).  Its per-source state is created by
+:meth:`SrmAgent.adopt` alone, the first time something other than the
+next in-order DATA packet concerns that source; until then, under the
+vector kernel, the host is a row of the network's reception columns
+(:mod:`repro.net.columns`) and ``receive`` is not even called for the
+packets it takes.  Methods marked :func:`column_safe` are the ones that
+arrangement skips; ``stop``, ``unrecovered_losses`` and
+``rtt_to_source`` answer for an untouched host without creating
+anything, while ``stream`` / ``source_state`` / ``known_sources`` (and
+so the invariant monitor) materialise what they read.
+
 Single-source convenience: the ``source`` constructor argument names the
 *primary* source (the root sender in the paper's trace replays); the
 ``stream`` / ``request_states`` / ``reply_states`` properties expose that
@@ -31,6 +45,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.metrics.collector import MetricsCollector
 from repro.net.network import Network
@@ -40,7 +55,7 @@ from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.srm.constants import SrmParams
 from repro.srm.session import DistanceEstimator, SessionReport
-from repro.srm.state import ReplyState, RequestState, StreamState
+from repro.srm.state import ReplyState, RequestState, SeqSet, StreamState
 
 # Members bound once at import: :meth:`SrmAgent.receive` compares by
 # identity against these on every delivery, and a module global is
@@ -63,6 +78,40 @@ class SourceState:
     reply_states: dict[int, ReplyState] = field(default_factory=dict)
 
 
+class _DeferredStream:
+    """Stands in for an agent's ``rng`` until the first draw: resolving
+    any attribute (``uniform``, ``random``...) creates the real stream,
+    installs it as ``agent.rng`` and is never consulted again.
+
+    Deliberately not a ``cached_property`` (or an agent ``__getattr__``):
+    on CPython 3.11 the first materialises the instance ``__dict__`` and
+    the second disables attribute specialisation for the class, and
+    either slows every ``self.x`` in the agent's hot methods.  A plain
+    store to an attribute set in ``__init__`` does neither.
+    """
+
+    __slots__ = ("_agent", "_factory")
+
+    def __init__(self, agent: "SrmAgent", factory: Callable[[], random.Random]):
+        self._agent = agent
+        self._factory = factory
+
+    def __getattr__(self, name: str):
+        rng = self._agent.rng = self._factory()
+        return getattr(rng, name)
+
+
+def column_safe(method):
+    """Mark a DATA-path method as provably inert for the next in-order
+    packet at a host holding no state for the packet's source: it makes
+    no metrics call, draws no randomness, arms no timer and touches no
+    state but that source's reception count.  The mark sits on the
+    function, so a subclass that overrides the method loses it without
+    declaring anything."""
+    method.column_safe = True
+    return method
+
+
 class SrmAgent:
     """An SRM endpoint attached at one host of the multicast tree.
 
@@ -78,7 +127,10 @@ class SrmAgent:
     params:
         SRM scheduling constants.
     rng:
-        The random stream used for all timer jitter at this host.
+        The random stream used for all timer jitter at this host — or a
+        zero-argument callable returning it, resolved on the first draw
+        (a host draws only when it schedules a request or reply timer;
+        most never do).
     metrics:
         Shared per-run metrics collector.
     session_period:
@@ -99,7 +151,7 @@ class SrmAgent:
         host_id: str,
         source: str,
         params: SrmParams,
-        rng: random.Random,
+        rng: random.Random | Callable[[], random.Random],
         metrics: MetricsCollector,
         session_period: float = 1.0,
         detect_on_request: bool = True,
@@ -109,7 +161,7 @@ class SrmAgent:
         self.host_id = host_id
         self.primary_source = source
         self.params = params
-        self.rng = rng
+        self.rng = rng if isinstance(rng, random.Random) else _DeferredStream(self, rng)
         self.metrics = metrics
         self.session_period = session_period
         self.detect_on_request = detect_on_request
@@ -124,7 +176,15 @@ class SrmAgent:
         self._sources: dict[str, SourceState] = {}
         self._session_timer = PeriodicTimer(sim, session_period, self._send_session)
 
-        network.attach(host_id, self)
+        # On the reception columns (repro.net.columns) iff everything
+        # in-order DATA runs through is the marked stock code.
+        network.attach(
+            host_id,
+            self,
+            plain=getattr(self.receive, "column_safe", False)
+            and getattr(self._on_data, "column_safe", False)
+            and getattr(self._on_packet_obtained, "column_safe", False),
+        )
 
     # ------------------------------------------------------------------
     # Per-source state
@@ -133,13 +193,34 @@ class SrmAgent:
         """This host's state for ``source``'s stream (created on demand)."""
         state = self._sources.get(source)
         if state is None:
-            state = SourceState()
-            self._sources[source] = state
+            state = self._materialise(source)
         return state
 
     def known_sources(self) -> list[str]:
         """Sources this host has seen traffic (or reports) for."""
+        self.adopt(self.net.hand_over(self, None))
         return list(self._sources)
+
+    def _materialise(self, src: str) -> SourceState:
+        """First news of ``src`` beyond its next in-order packet: leave
+        the reception columns for it and hold its state here for good."""
+        self.adopt(self.net.hand_over(self, src))
+        return self._sources[src]
+
+    def adopt(self, handed: tuple[tuple[str, int], ...]) -> None:
+        """Create this host's state for each ``(source, n)`` handed over
+        by the network: the host has received exactly packets ``0..n-1``
+        of that source (what the reception column counted; nothing for a
+        source it is hearing of for the first time).  The one place a
+        :class:`SourceState` is made — insertion order is the order in
+        which the host first touched the sources, which session reports
+        expose (see :mod:`repro.net.columns`)."""
+        sources = self._sources
+        for src, count in handed:
+            state = sources[src] = SourceState()
+            if count:
+                state.stream.max_seq = count - 1
+                state.stream.received = SeqSet.prefix(count)
 
     # -- single-source convenience accessors ---------------------------
     @property
@@ -172,6 +253,7 @@ class SrmAgent:
         Packets delivered to a failed host are silently dropped.
         """
         self.failed = True
+        self.net.withdraw(self)  # no DATA reaches a failed host by column
         self.stop()
 
     def restart(self) -> None:
@@ -197,8 +279,9 @@ class SrmAgent:
 
     def unrecovered_losses(self, source: str | None = None) -> list[int]:
         """Packets still under recovery (detected but never repaired)."""
-        source = source or self.primary_source
-        return sorted(self.source_state(source).request_states)
+        state = self._sources.get(source or self.primary_source)
+        # A host still on the reception column has detected no loss.
+        return sorted(state.request_states) if state is not None else []
 
     # ------------------------------------------------------------------
     # Sending data (any host may source its own stream)
@@ -223,6 +306,7 @@ class SrmAgent:
     # ------------------------------------------------------------------
     # Packet dispatch
     # ------------------------------------------------------------------
+    @column_safe
     def receive(self, packet: Packet) -> None:
         if self.failed:
             return
@@ -243,6 +327,7 @@ class SrmAgent:
     # ------------------------------------------------------------------
     # Data path and loss detection
     # ------------------------------------------------------------------
+    @column_safe
     def _on_data(self, packet: Packet) -> None:
         src = packet.source
         seq = packet.seqno
@@ -250,7 +335,7 @@ class SrmAgent:
         # runs once per delivered data packet at every host.
         state = self._sources.get(src)
         if state is None:
-            state = self._sources[src] = SourceState()
+            state = self._materialise(src)
         stream = state.stream
         if seq in stream.received:
             stream.duplicates += 1
@@ -371,7 +456,7 @@ class SrmAgent:
         seq = packet.seqno
         state = self._sources.get(src)
         if state is None:
-            state = self._sources[src] = SourceState()
+            state = self._materialise(src)
         if seq - 1 > state.stream.max_seq:
             self._advance_stream(src, seq - 1)
         if seq in state.stream.received:
@@ -475,7 +560,7 @@ class SrmAgent:
         seq = packet.seqno
         state = self._sources.get(src)
         if state is None:
-            state = self._sources[src] = SourceState()
+            state = self._materialise(src)
         stream = state.stream
         if seq - 1 > stream.max_seq:
             self._advance_stream(src, seq - 1)
@@ -567,6 +652,9 @@ class SrmAgent:
             self.sessions_suppressed += 1
             return
         now = self.sim.now
+        # The report covers every source received from, in first-touch
+        # order — including those so far only counted in a column.
+        self.adopt(self.net.hand_over(self, None))
         max_seqs = {
             src: state.stream.max_seq
             for src, state in self._sources.items()
@@ -599,7 +687,7 @@ class SrmAgent:
                 continue
             state = sources.get(src)
             if state is None:
-                state = sources[src] = SourceState()
+                state = self._materialise(src)
             if reported > state.stream.max_seq:
                 self._advance_stream(src, reported)
 
@@ -615,6 +703,7 @@ class SrmAgent:
     def _on_reply_observed(self, packet: Packet) -> None:
         """Hook: called for every repair reply this host receives."""
 
+    @column_safe
     def _on_packet_obtained(self, src: str, seq: int) -> None:
         """Hook: called whenever a previously missing packet arrives."""
 

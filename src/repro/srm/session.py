@@ -98,17 +98,13 @@ class DistanceEstimator:
         ``get_or`` fast path; unprimed estimators keep the bound
         ``dict.get`` byte for byte."""
         self._oracle = oracle
-        host_id = self.host_id
-        estimates_get = self._estimates.get
-        oracle_distance = oracle.distance
+        self.get_or = self._primed_get_or
 
-        def get_or(peer: str, default: float) -> float:
-            found = estimates_get(peer)
-            if found is not None:
-                return found
-            return oracle_distance(host_id, peer)
-
-        self.get_or = get_or
+    def _primed_get_or(self, peer: str, default: float) -> float:
+        found = self._estimates.get(peer)
+        if found is not None:
+            return found
+        return self._oracle.distance(self.host_id, peer)
 
     # -- incoming ------------------------------------------------------
     def on_session(self, report: SessionReport, now: float) -> None:

@@ -41,6 +41,17 @@ class SeqSet:
         for seq in seqs:
             self.add(seq)
 
+    @classmethod
+    def prefix(cls, n: int) -> "SeqSet":
+        """The set ``{0, ..., n-1}`` in O(n/8): what a host holds after
+        ``n`` in-order packets (see :meth:`SrmAgent._materialise`)."""
+        out = cls()
+        out._bits = bytearray(b"\xff" * (n >> 3))
+        if n & 7:
+            out._bits.append((1 << (n & 7)) - 1)
+        out._len = n
+        return out
+
     def add(self, seq: int) -> None:
         if seq < 0:
             raise ValueError(f"SeqSet holds non-negative seqnos, got {seq}")

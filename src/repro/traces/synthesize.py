@@ -269,15 +269,6 @@ def _sample_trace(
         model = GilbertModel.from_rate_and_burst(rate, burst)
         link_masks[link] = model.sample_mask(n, rng)
 
-    # Observed per-receiver sequences: OR of the raw drops along the path.
-    loss_seqs: dict[str, bytes] = {}
-    for receiver in tree.receivers:
-        path = tree.path(tree.source, receiver)
-        mask = 0
-        for link in zip(path, path[1:]):
-            mask |= link_masks[link]
-        loss_seqs[receiver] = bytes_from_bitmask(mask, n)
-
     # Ground truth: a link's drop is *effective* (observable) only when no
     # ancestor link dropped the same packet — the surviving topmost drops
     # form an antichain that reproduces the observed pattern exactly.
@@ -293,6 +284,19 @@ def _sample_trace(
             combo_sets.setdefault(packet, set()).add(link)
     for packet, links in combo_sets.items():
         combos[packet] = frozenset(links)
+
+    # Observed per-receiver sequences: the OR of the raw drops along the
+    # receiver's path is its entry in the top-down cache above.  Receivers
+    # with the same mask share one bytes object (on a near-loss-free trace
+    # that is all of them).
+    expanded: dict[int, bytes] = {}
+    loss_seqs: dict[str, bytes] = {}
+    for receiver in tree.receivers:
+        mask = ancestor_mask_cache[receiver]
+        seq = expanded.get(mask)
+        if seq is None:
+            seq = expanded[mask] = bytes_from_bitmask(mask, n)
+        loss_seqs[receiver] = seq
 
     trace = LossTrace(params.name, tree, params.period, loss_seqs)
     return SyntheticTrace(trace=trace, link_rates=dict(rates), link_combos=combos)

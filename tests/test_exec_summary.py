@@ -174,3 +174,54 @@ class TestResultRehydration:
         assert render_recovery_timeline(
             rehydrated, receiver
         ) == render_recovery_timeline(result, receiver)
+
+
+class TestToDictWithoutDeepCopy:
+    """``to_dict`` builds the dict field by field; it must stay equal to
+    the ``dataclasses.asdict`` rendering it replaced."""
+
+    @staticmethod
+    def _asdict_based(summary: RunSummary) -> dict:
+        from dataclasses import asdict
+
+        data = asdict(summary)
+        for block in ("obs", "faults", "workload", "cache", "churn"):
+            if data[block] is None:
+                del data[block]
+        return data
+
+    @staticmethod
+    def _loss_free_summary() -> RunSummary:
+        from repro.net.families import synthesize_topology_trace
+
+        spec = "transit_stub:transits=2,stubs=3,hosts=6,packets=8,loss=1e-9"
+        trace = synthesize_topology_trace(spec, seed=0, max_packets=8)
+        config = SimulationConfig(
+            seed=1, prime_distances=True, drain_time=2.0, kernel="vector",
+            cache="paper:capacity=16",
+        )
+        return RunSummary.from_result(run_trace(trace, "cesrm", config))
+
+    def test_lossy_summary(self, result):
+        summary = RunSummary.from_result(result)
+        assert summary.recoveries  # lossy: the nested blocks are populated
+        expected = self._asdict_based(summary)
+        assert summary.to_dict() == expected
+        assert list(summary.to_dict()) == list(expected)  # field order too
+        assert summary.to_json() == json.dumps(expected, sort_keys=True)
+
+    def test_loss_free_summary(self):
+        summary = self._loss_free_summary()
+        assert summary.total_losses == 0 and summary.cache is not None
+        expected = self._asdict_based(summary)
+        assert summary.to_dict() == expected
+        assert summary.to_json() == json.dumps(expected, sort_keys=True)
+
+    def test_patching_the_dict_leaves_the_summary_alone(self, result):
+        summary = RunSummary.from_result(result)
+        data = summary.to_dict()
+        data["wall_time"] = 0.0
+        data["config"]["seed"] = 99
+        assert summary.wall_time == result.wall_time
+        assert summary.config["seed"] == 0
+        assert summary.to_dict() is not data

@@ -1,5 +1,7 @@
 """Tests for the simulation runner and configuration."""
 
+import random
+
 import pytest
 
 from repro.harness.config import SimulationConfig
@@ -194,3 +196,84 @@ class TestRunTrace:
         assert result.events_processed > 0
         assert result.sim_time > 0
         assert result.wall_time > 0
+
+
+class TestPayPerUseConstruction:
+    """An agent that never draws never seeds a stream; per-run agent
+    kwargs are derived once, not once per host."""
+
+    SPEC = "transit_stub:transits=2,stubs=5,hosts=20,packets=8,loss=1e-9"
+
+    def _primed(self, **overrides):
+        config = dict(seed=3, prime_distances=True, drain_time=2.0, kernel="vector")
+        config.update(overrides)
+        return SimulationConfig(**config)
+
+    def test_loss_free_run_creates_no_per_host_streams(self):
+        from repro.net.families import synthesize_topology_trace
+
+        trace = synthesize_topology_trace(self.SPEC, seed=0, max_packets=8)
+        simulation = build_simulation(trace, "cesrm", self._primed())
+        registry = simulation.faults.registry
+        assert len(simulation.agents) == 201
+        assert registry._streams == {}
+        simulation.sim.run(until=simulation.end_time)
+        for agent in simulation.agents.values():
+            agent.stop()
+            assert agent.unrecovered_losses() == []
+            assert agent.rtt_to_source() >= 0.0
+        assert registry._streams == {}  # O(1), not O(hosts)
+        idle = simulation.agents[trace.trace.tree.receivers[0]]
+        assert not isinstance(idle.rng, random.Random)  # still deferred
+
+    def test_first_draw_resolves_the_hosts_named_stream(self):
+        simulation = build_simulation(small_synthetic(), "srm", SimulationConfig(seed=4))
+        registry = simulation.faults.registry
+        host = simulation.trace.trace.tree.receivers[0]
+        agent = simulation.agents[host]
+        assert f"agent:{host}" not in registry._streams
+        expected = random.Random(registry.derive_seed(f"agent:{host}")).uniform(1, 2)
+        assert agent.rng.uniform(1, 2) == expected
+        # ... and from here on ``rng`` is the registry's stream itself.
+        assert agent.rng is registry.stream(f"agent:{host}")
+
+    def test_agent_takes_a_plain_random_stream(self):
+        """The public constructor contract used across tests/."""
+        from tests.helpers import make_world
+
+        world = make_world(protocol="cesrm")
+        agent = world.agents["r1"]
+        assert isinstance(agent.rng, random.Random)
+        replacement = random.Random(1)
+        agent.rng = replacement
+        assert agent.rng is replacement
+
+    @pytest.mark.parametrize("churn", ["", "churn:rate=3,leave=0.3,start=0.5,until=5s"])
+    def test_extra_agent_kwargs_called_once_per_build(self, churn):
+        from repro.core.agent import CesrmAgent
+        from repro.harness.registry import ProtocolSpec, get_spec, register, unregister
+
+        calls = []
+        cesrm = get_spec("cesrm")
+
+        def spy(config):
+            calls.append(config)
+            return cesrm.agent_kwargs(config)
+
+        register(ProtocolSpec(name="spied-cesrm", agent_cls=CesrmAgent, agent_kwargs=spy))
+        try:
+            config = SimulationConfig(seed=1, cache="lru:capacity=4")
+            simulation = build_simulation(
+                small_synthetic(60, 20), "spied-cesrm", config, churn=churn
+            )
+            simulation.sim.run(until=simulation.end_time)
+        finally:
+            unregister("spied-cesrm")
+        assert calls == [config]
+        agents = list(simulation.agents.values())
+        if churn:
+            assert simulation.churn.joins > 0
+            assert len(agents) > 6
+        # One compiled cache policy for the run; a selection policy each.
+        assert len({id(agent.cache_policy) for agent in agents}) == 1
+        assert len({id(agent.policy) for agent in agents}) == len(agents)

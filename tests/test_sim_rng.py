@@ -66,3 +66,17 @@ def test_derive_seed_is_64_bit():
 def test_derivation_never_collides_with_distinct_suffix(seed, name):
     reg = RngRegistry(seed)
     assert reg.derive_seed(name) != reg.derive_seed(name + "!")
+
+
+def test_creation_order_does_not_change_a_stream():
+    """Streams are hash-derived from (seed, name): one first requested
+    after 10 000 others draws what it would have drawn requested first —
+    the licence for agents to resolve their stream on the first draw."""
+    first = RngRegistry(7).stream("agent:r42")
+    expected = [first.random() for _ in range(5)] + [first.uniform(2.0, 3.0)]
+
+    crowded = RngRegistry(7)
+    for index in range(10_000):
+        crowded.stream(f"agent:other{index}")
+    late = crowded.stream("agent:r42")
+    assert [late.random() for _ in range(5)] + [late.uniform(2.0, 3.0)] == expected

@@ -183,3 +183,83 @@ class TestSynthesis:
                 previous = link
         assert total > 0
         assert same / total > 0.5
+
+
+class TestReceiverMasksFromAncestorCache:
+    """``_sample_trace`` reads each receiver's loss mask off the top-down
+    per-node cache; it must equal the OR of the link masks on its path."""
+
+    @staticmethod
+    def _path_or(synthetic) -> dict[str, bytes]:
+        trace = synthetic.trace
+        tree = trace.tree
+        out = {}
+        for receiver in tree.receivers:
+            path = tree.path(tree.source, receiver)
+            links = set(zip(path, path[1:]))
+            seq = bytearray(trace.n_packets)
+            # link_combos holds the *effective* (topmost) drops, whose
+            # union along a path is exactly the path-OR of the raw masks.
+            for packet, combo in synthetic.link_combos.items():
+                if combo & links:
+                    seq[packet] = 1
+            out[receiver] = bytes(seq)
+        return out
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family=st.sampled_from(
+            [
+                "random_tree:receivers={n},packets=40,loss={loss}",
+                "transit_stub:transits=2,stubs=2,hosts={n},packets=40,loss={loss}",
+            ]
+        ),
+        n=st.integers(min_value=2, max_value=12),
+        loss=st.sampled_from(["1e-9", "5e-3", "5e-2"]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_path_or_on_random_topologies(self, family, n, loss, seed):
+        from repro.net.families import synthesize_topology_trace
+
+        synthetic = synthesize_topology_trace(
+            family.format(n=n, loss=loss), seed=seed, max_packets=40
+        )
+        assert synthetic.trace.loss_seqs == self._path_or(synthetic)
+
+    def test_raw_masks_or_along_the_path(self):
+        """The same property one level down, against the raw link masks."""
+        import repro.traces.synthesize as synthesize
+
+        tree = build_random_tree(9, 5, random.Random(3))
+        rates = {link: 0.08 for link in tree.links}
+        params = small_params(n_receivers=9, tree_depth=5, n_packets=200)
+        masks = {}
+        real = synthesize.GilbertModel.sample_mask
+
+        def recording(self, n, rng):
+            mask = real(self, n, rng)
+            masks[len(masks)] = mask
+            return mask
+
+        synthesize.GilbertModel.sample_mask = recording
+        try:
+            synthetic = synthesize._sample_trace(params, tree, rates, random.Random(5))
+        finally:
+            synthesize.GilbertModel.sample_mask = real
+        link_masks = dict(zip(tree.links, masks.values()))
+        for receiver in tree.receivers:
+            path = tree.path(tree.source, receiver)
+            mask = 0
+            for link in zip(path, path[1:]):
+                mask |= link_masks[link]
+            expected = bytes((mask >> i) & 1 for i in range(200))
+            assert synthetic.trace.loss_seqs[receiver] == expected
+
+    def test_identical_masks_share_one_bytes_object(self):
+        from repro.net.families import synthesize_topology_trace
+
+        synthetic = synthesize_topology_trace(
+            "transit_stub:transits=2,stubs=3,hosts=6,packets=8,loss=1e-9", seed=0
+        )
+        seqs = list(synthetic.trace.loss_seqs.values())
+        assert len(seqs) == 36 and all(seq is seqs[0] for seq in seqs)

@@ -325,13 +325,17 @@ class TestWaveCounters:
         sim, network, _log = build(tree, "vector")
         assert network.kernel_stats() == {
             "loop_waves": 0, "numpy_waves": 0, "hooked_waves": 0,
+            "column_deliveries": 0, "scalar_deliveries": 0,
         }
         network.multicast(control("s"))
         assert sum(network.kernel_stats().values()) == 0, "nothing has fired yet"
         sim.run()
-        # s -> x0 -> {x1, x2} -> {r1..r4}: one wave per depth.
+        # s -> x0 -> {x1, x2} -> {r1..r4}: one wave per depth; the four
+        # sinks are not enrolled agents (and the packet is not DATA), so
+        # every delivery went through ``receive``.
         assert network.kernel_stats() == {
             "loop_waves": 3, "numpy_waves": 0, "hooked_waves": 0,
+            "column_deliveries": 0, "scalar_deliveries": 4,
         }
         stats = network.kernel_stats()
         stats["loop_waves"] = 99
@@ -361,7 +365,8 @@ def test_small_frontiers_still_coalesce_into_waves(loss):
         events[kernel] = simulation.sim.events_processed
         stats = simulation.network.kernel_stats()
     assert events["vector"] == events["python"]
-    assert sum(stats.values()) == WAVES_BEFORE[loss]
+    waves = sum(count for name, count in stats.items() if name.endswith("_waves"))
+    assert waves == WAVES_BEFORE[loss]
     assert stats["hooked_waves"] == 0
     # 1 -> 2 -> 4 -> ... reaches the crossover within the tree's depth.
     assert stats["loop_waves"] > 0 and stats["numpy_waves"] > 0
