@@ -14,17 +14,11 @@ Execution goes through the :mod:`repro.exec` engine: set ``REPRO_JOBS=N``
 to fan uncached runs out over N worker processes, and
 ``REPRO_BENCH_CACHE=1`` to reuse the persistent run cache (off by default
 so timings measure simulation, not cache reads).
-
-Per-benchmark wall-clock timings are written to ``BENCH_exec.json`` at the
-repo root after every session, so the performance trajectory is tracked
-across PRs in machine-readable form.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from pathlib import Path
 
 import pytest
@@ -35,9 +29,6 @@ from repro.harness.experiments import ExperimentContext
 BENCH_MAX_PACKETS = 2500
 
 OUTPUT_DIR = Path(__file__).parent / "output"
-TIMINGS_PATH = Path(__file__).parent.parent / "BENCH_exec.json"
-
-_timings: dict[str, float] = {}
 
 
 def bench_max_packets() -> int | None:
@@ -82,26 +73,3 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Time ``fn`` exactly once — simulation batches are seconds-long, so
     statistical repetition buys nothing and costs minutes."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def pytest_runtest_logreport(report):
-    if report.when == "call" and report.passed:
-        _timings[report.nodeid] = report.duration
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _timings:
-        return
-    payload = {
-        "suite": "benchmarks",
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "max_packets": bench_max_packets(),
-        "jobs": bench_jobs(),
-        "cache": bench_cache() is not None,
-        "timings_s": {
-            nodeid: round(duration, 4)
-            for nodeid, duration in sorted(_timings.items())
-        },
-        "total_s": round(sum(_timings.values()), 4),
-    }
-    TIMINGS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -144,13 +144,3 @@ __all__ = [
     "OverheadBreakdown",
     "__version__",
 ]
-
-
-def __getattr__(name):
-    # Deprecated shim: repro.PROTOCOLS forwards to the config shim, which
-    # warns and resolves the live registry.
-    if name == "PROTOCOLS":
-        from repro.harness import config
-
-        return config.PROTOCOLS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

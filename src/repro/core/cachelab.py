@@ -46,10 +46,6 @@ Counters keep their legacy names (``inserts`` / ``improvements`` /
 ``rejects`` / ``evictions``) — ``evictions`` counts *replier* evictions
 (crash relearning, what fault stats always reported) while capacity and
 TTL churn get their own ``capacity_evictions`` / ``expirations``.
-
-The old ``repro.core.cache`` module remains as a deprecated shim
-re-exporting :class:`RecoveryTuple` and :class:`RecoveryPairCache` from
-here.
 """
 
 from __future__ import annotations

@@ -55,12 +55,6 @@ __all__ = [
 
 
 def __getattr__(name: str) -> Any:
-    # Deprecated shim: forwards to repro.harness.config, which warns and
-    # resolves the live registry.
-    if name == "PROTOCOLS":
-        from repro.harness import config
-
-        return config.PROTOCOLS
     target = _EXPORTS.get(name)
     if target is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,8 +31,6 @@ single protocol/trace pair:
     $ cesrm sweep status
     $ cesrm sweep query --group-by protocol,workload --metric avg_latency_rtt
     $ cesrm sweep report --format markdown
-    $ cesrm bench
-    $ cesrm bench kernel obs
 
 Sweeps (:mod:`repro.sweep`): ``cesrm sweep run grid.toml`` executes a
 declarative parameter grid — protocols × traces × workloads × faults ×
@@ -93,6 +91,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.churn import compile_churn
+from repro.core.cachelab import compile_cache_policy
 from repro.exec.cache import RunCache, default_cache_dir
 from repro.exec.jobs import source_fingerprint
 from repro.harness import experiments as exp
@@ -100,6 +100,7 @@ from repro.harness import report
 from repro.harness.registry import all_specs, available_protocols
 from repro.metrics.stats import mean
 from repro.traces.yajnik import YAJNIK_TRACES
+from repro.workloads import compile_workload
 
 COMMANDS = (
     "table1",
@@ -123,7 +124,6 @@ COMMANDS = (
     "caches",
     "cache",
     "sweep",
-    "bench",
     "all",
 )
 
@@ -151,43 +151,20 @@ def _trace_arg(value: str) -> str:
     )
 
 
-def _workload_arg(value: str) -> str:
-    """``--workload`` validates eagerly so typos fail at parse time."""
-    from repro.workloads import WorkloadError, compile_workload
+def _spec_arg(compile_fn):
+    """An argparse ``type`` for a spec-string flag (``--workload``,
+    ``--cache``, ``--churn``): compile eagerly so typos fail at parse
+    time.  Every spec error is a ``ValueError``."""
 
-    if not value:
+    def parse(value: str) -> str:
+        if value:
+            try:
+                compile_fn(value)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
         return value
-    try:
-        compile_workload(value)
-    except WorkloadError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
-
-def _cache_policy_arg(value: str) -> str:
-    """``--cache`` validates the policy spec eagerly, like ``--workload``."""
-    from repro.core.cachelab import CacheError, compile_cache_policy
-
-    if not value:
-        return value
-    try:
-        compile_cache_policy(value)
-    except CacheError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _churn_arg(value: str) -> str:
-    """``--churn`` validates the membership-churn spec eagerly."""
-    from repro.churn import ChurnError, compile_churn
-
-    if not value:
-        return value
-    try:
-        compile_churn(value)
-    except ChurnError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         "names",
         nargs="*",
         metavar="ARG",
-        help="with `bench`: suite names (benchmarks/bench_<name>.py) or `all`; "
-        "with `sweep`: a subcommand (run|status|query|report) plus a spec "
+        help="with `sweep`: a subcommand (run|status|query|report) plus a spec "
         "file (run) or sweep selector (status/query/report); with `cache`: "
         "`prune` to garbage-collect",
     )
@@ -227,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workload",
         default="",
-        type=_workload_arg,
+        type=_spec_arg(compile_workload),
         metavar="SPEC",
         help="drive the send schedule with a repro.workloads spec, e.g. "
         "zipf:alpha=1.1,objects=500 (default: the source-paced schedule; "
@@ -250,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache",
         default="",
-        type=_cache_policy_arg,
+        type=_spec_arg(compile_cache_policy),
         metavar="SPEC",
         help="recovery-cache policy spec for CESRM runs, e.g. "
         "lru:capacity=16 or ttl:capacity=16,ttl=30s (default: the paper's "
@@ -259,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--churn",
         default="",
-        type=_churn_arg,
+        type=_spec_arg(compile_churn),
         metavar="SPEC",
         help="install a membership join/leave process over the run, e.g. "
         "churn:rate=0.5,leave=0.4 (default: static membership; see "
@@ -513,8 +489,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "sweep":
         return _sweep_command(args)
-    if args.command == "bench":
-        return _bench_command(args)
     ctx = _context(args)
     out: list[str] = []
 
@@ -595,96 +569,6 @@ def main(argv: list[str] | None = None) -> int:
             f"[exec] cache: {cache.stats.describe()} — {cache.directory}",
             file=sys.stderr,
         )
-    return 0
-
-
-def _benchmarks_dir():
-    """The repo's ``benchmarks/`` directory, located next to ``src/``
-    (falls back to the working directory for non-src layouts)."""
-    from pathlib import Path
-
-    import repro
-
-    root = Path(repro.__file__).resolve().parent.parent.parent
-    bench_dir = root / "benchmarks"
-    if not bench_dir.is_dir():
-        bench_dir = Path.cwd() / "benchmarks"
-    return bench_dir
-
-
-def _bench_command(args: argparse.Namespace) -> int:
-    """Run benchmark suites uniformly: ``cesrm bench kernel obs``.
-
-    Every suite is a ``benchmarks/bench_<name>.py`` pytest file executed in
-    a fresh interpreter from the repo root, so each writes its
-    ``BENCH_*.json`` artefact exactly as a direct pytest invocation would —
-    one entry point for CI and for humans instead of ad-hoc per-script
-    command lines.  ``--max-packets``/``--full``/``--jobs`` are forwarded
-    through the ``REPRO_*`` environment knobs the suites honour.
-    """
-    import os
-    import subprocess
-    import time
-    from pathlib import Path
-
-    import repro
-
-    bench_dir = _benchmarks_dir()
-    if not bench_dir.is_dir():
-        print(f"no benchmarks directory found at {bench_dir}", file=sys.stderr)
-        return 2
-    available = sorted(p.stem[len("bench_") :] for p in bench_dir.glob("bench_*.py"))
-    if not args.names:
-        print("available benchmark suites (cesrm bench <name>... or `all`):")
-        for name in available:
-            print(f"  {name}")
-        return 0
-    names = available if args.names == ["all"] else args.names
-    unknown = [n for n in names if n not in available]
-    if unknown:
-        print(
-            f"unknown benchmark suite(s): {', '.join(unknown)}\n"
-            f"available: {', '.join(available)}",
-            file=sys.stderr,
-        )
-        return 2
-
-    root = bench_dir.parent
-    env = dict(os.environ)
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
-    if args.max_packets is not None:
-        env["REPRO_MAX_PACKETS"] = str(args.max_packets)
-    if args.full:
-        env["REPRO_FULL_TRACES"] = "1"
-    if args.jobs > 1:
-        env["REPRO_JOBS"] = str(args.jobs)
-
-    failures = []
-    for name in names:
-        script = bench_dir / f"bench_{name}.py"
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", str(script.relative_to(root)), "-q"],
-            cwd=root,
-            env=env,
-        )
-        elapsed = time.perf_counter() - start
-        if proc.returncode == 0:
-            print(f"[bench] {name}: ok in {elapsed:.1f}s", file=sys.stderr)
-        else:
-            print(
-                f"[bench] {name}: FAILED (exit {proc.returncode}) in {elapsed:.1f}s",
-                file=sys.stderr,
-            )
-            failures.append(name)
-    artefacts = sorted(p.name for p in root.glob("BENCH_*.json"))
-    if artefacts:
-        print(f"[bench] artefacts at {root}: {', '.join(artefacts)}", file=sys.stderr)
-    if failures:
-        print(f"[bench] failed suites: {', '.join(failures)}", file=sys.stderr)
-        return 1
     return 0
 
 

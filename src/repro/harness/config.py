@@ -9,27 +9,10 @@ a data transmission start delayed until distance estimates have converged.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.srm.constants import SrmParams
-
-
-def __getattr__(name: str) -> Any:
-    # Deprecated shim: the protocol list now lives in the pluggable
-    # repro.harness.registry (imported lazily to avoid a cycle).
-    if name == "PROTOCOLS":
-        warnings.warn(
-            "repro.harness.config.PROTOCOLS is deprecated; use "
-            "repro.harness.registry.available_protocols() (or repro.api)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.harness.registry import available_protocols
-
-        return available_protocols()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -82,17 +82,10 @@ class ExperimentContext:
         self.max_packets = max_packets  # type: ignore[assignment]
         self.seed = seed
         self.faults = faults if faults is not None else FaultPlan()
+        # Spec strings are validated where they are used: ``RunJob``
+        # (workload, churn) and ``SimulationConfig`` (cache policy).
         self.workload = workload
-        if workload:
-            # Fail on the driving process, before any jobs are built.
-            from repro.workloads import compile_workload
-
-            compile_workload(workload)
         self.churn = churn
-        if churn:
-            from repro.churn import compile_churn
-
-            compile_churn(churn)
         # ``cache`` is already taken by the RunCache handle, so the recovery
         # cache-policy spec rides in as ``cache_policy`` and folds into the
         # config (where SimulationConfig validates it eagerly).

@@ -20,8 +20,7 @@ double) plugs in with one :func:`register` call:
 
 The four shipped protocols (plus the two SRM/CESRM variants) register
 themselves at import time, in the order the paper discusses them; that
-order is what :func:`available_protocols` (and the deprecated
-``repro.harness.config.PROTOCOLS`` shim) exposes.
+order is what :func:`available_protocols` exposes.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ the unit handling lives in one place: ``ru_maxrss`` is kibibytes on
 Linux but bytes on macOS, and the value is a process-lifetime high-water
 mark — it never decreases, so a bench that wants the peak of one
 workload in isolation must run that workload in a fresh process (see
-``benchmarks/bench_scale.py``).
+``bench/child.py``).
 """
 
 from __future__ import annotations

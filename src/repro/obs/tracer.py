@@ -3,9 +3,9 @@
 Agents, the network, timers, and the invariant monitor all reach the
 tracer through ``Simulator.tracer`` — a single plumbing point that is
 ``None`` by default, so an untraced run pays exactly one attribute load
-and an ``is None`` test per would-be event (measured ≤5% on the engine
-micro-bench, and unobservable on full runs; see
-``benchmarks/bench_obs.py``).
+and an ``is None`` test per would-be event (unobservable on full runs;
+the layered benchmark's ``obs.*`` ratios record what attaching one
+costs).
 
 Besides fanning events out to its sinks, the tracer keeps cheap run-level
 aggregates — event counts by kind and by node, plus named

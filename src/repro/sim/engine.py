@@ -238,90 +238,6 @@ class Simulator:
         self._fire_one()
         return True
 
-    def drain_batch(self, until: float | None = None) -> int:
-        """Fire every entry of the next pending timestamp in one call.
-
-        The batched stepping primitive: where :meth:`step` fires one entry,
-        ``drain_batch`` pops the whole same-timestamp bucket — including
-        zero-delay entries appended *while* it drains — and dispatches it
-        grouped by callback: a consecutive run of raw (no-``Event``) entries
-        sharing one callback fires through a single hoisted local, so a
-        hop-dense instant pays the attribute lookups once per run instead
-        of once per entry.  Entries are fired strictly in bucket (FIFO)
-        order; grouping never reorders.
-
-        Returns the number of entries fired — 0 when the queue is
-        exhausted or the next bucket lies beyond ``until`` (in which case
-        the clock advances to ``until``, matching :meth:`run`).
-
-        :meth:`clear` called from inside a firing callback truncates the
-        active bucket in place and detaches it; the drain re-checks both
-        per entry, so stale same-timestamp entries never fire.
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        if self._advance() is None:
-            return 0
-        time = self._bucket_time
-        if until is not None and time > until:
-            if self._now < until:
-                self._now = until
-            return 0
-        self._running = True
-        self._stopped = False
-        fired = 0
-        bucket = self._bucket
-        assert bucket is not None
-        self._now = time
-        profiler = self.profiler
-        try:
-            pos = self._bucket_pos
-            # ``len(bucket)`` and the ``self._bucket is bucket`` identity are
-            # re-read every iteration: zero-delay appends grow the batch,
-            # clear() shrinks and detaches it.
-            while self._bucket is bucket and pos < len(bucket):
-                entry = bucket[pos]
-                pos += 1
-                self._bucket_pos = pos
-                if type(entry) is tuple:
-                    callback, args = entry
-                    self._events_processed += 1
-                    fired += 1
-                    if profiler is None:
-                        callback(*args)
-                        # Grouped dispatch: drain the run of raw entries
-                        # that share this callback with it held in a local.
-                        while (
-                            not self._stopped
-                            and self._bucket is bucket
-                            and pos < len(bucket)
-                        ):
-                            nxt = bucket[pos]
-                            if type(nxt) is not tuple or nxt[0] is not callback:
-                                break
-                            pos += 1
-                            self._bucket_pos = pos
-                            self._events_processed += 1
-                            fired += 1
-                            callback(*nxt[1])
-                    else:
-                        profiler.record_call(callback, args)
-                elif not entry.cancelled:
-                    entry.fired = True
-                    self._events_processed += 1
-                    fired += 1
-                    if profiler is None:
-                        entry.callback(*entry.args)
-                    else:
-                        profiler.record_call(entry.callback, entry.args)
-                if self._stopped:
-                    break
-            if self._bucket is bucket and self._bucket_pos >= len(bucket):
-                self._bucket = None
-        finally:
-            self._running = False
-        return fired
-
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
@@ -338,7 +254,7 @@ class Simulator:
         # The body below is :meth:`_advance` + :meth:`_fire_one` inlined:
         # at millions of events per run the two method calls per event are
         # measurable.  ``step()`` still uses the method forms; keep the
-        # three drain paths behaviourally identical.
+        # two drain paths behaviourally identical.
         heappop = heapq.heappop
         buckets = self._buckets
         next_compact = COMPACT_INTERVAL

@@ -323,21 +323,7 @@ def _compile_point(
     workload = resolve("workload", "")
     faults_value = resolve("faults", "")
     cache = resolve("cache", "")
-    if cache:
-        from repro.core.cachelab import CacheError, compile_cache_policy
-
-        try:
-            compile_cache_policy(str(cache))
-        except CacheError as exc:
-            raise SweepError(f"{where}: {exc}") from None
     churn = resolve("churn", "")
-    if churn:
-        from repro.churn import ChurnError, compile_churn
-
-        try:
-            compile_churn(str(churn))
-        except ChurnError as exc:
-            raise SweepError(f"{where}: {exc}") from None
     seed = resolve("seed", 0)
     max_packets = resolve("max_packets", DEFAULT_SWEEP_MAX_PACKETS)
     if not isinstance(seed, int) or isinstance(seed, bool):

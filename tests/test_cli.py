@@ -461,22 +461,3 @@ class TestWorkloads:
         capsys.readouterr()
         assert main(["cache", "--cache-dir", cache_dir]) == 0
         assert "workload=poisson" in capsys.readouterr().out
-
-
-class TestBenchCommand:
-    def test_parser_collects_suite_names(self):
-        args = build_parser().parse_args(["bench", "kernel", "obs"])
-        assert args.command == "bench"
-        assert args.names == ["kernel", "obs"]
-
-    def test_bare_bench_lists_available_suites(self, capsys):
-        assert main(["bench"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel" in out
-        assert "obs" in out
-
-    def test_unknown_suite_rejected(self, capsys):
-        assert main(["bench", "definitely-not-a-suite"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown benchmark suite" in err
-        assert "kernel" in err

@@ -1,7 +1,5 @@
 """Tests for the pluggable protocol registry (repro.harness.registry)."""
 
-import warnings
-
 import pytest
 
 from repro.harness.config import SimulationConfig
@@ -110,33 +108,3 @@ class TestPluggability:
             assert get_spec("srm").agent_cls is SrmAgent
         finally:
             register(original, replace=True)
-
-
-@pytest.mark.filterwarnings("default::DeprecationWarning")
-class TestDeprecatedShim:
-    """The shims are *supposed* to warn: opt out of the suite-wide
-    ``error::DeprecationWarning`` so the warning can be asserted on."""
-
-    def test_config_protocols_warns_and_matches_registry(self):
-        from repro.harness import config
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = config.PROTOCOLS
-        assert value == available_protocols()
-        assert any(w.category is DeprecationWarning for w in caught)
-
-    def test_package_level_shims_forward(self):
-        import repro
-        import repro.harness
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.PROTOCOLS == available_protocols()
-            assert repro.harness.PROTOCOLS == available_protocols()
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.harness import config
-
-        with pytest.raises(AttributeError):
-            config.NOT_A_THING

@@ -293,127 +293,3 @@ def test_event_ordering_respects_subsecond_precision():
     sim.schedule(0.00009, out.append, "b")
     sim.run()
     assert out == ["b", "a"]
-
-
-# ----------------------------------------------------------------------
-# drain_batch: the batched stepping primitive (kernel v2)
-# ----------------------------------------------------------------------
-def test_drain_batch_fires_one_timestamp():
-    sim = Simulator()
-    out = []
-    sim.schedule(1.0, out.append, "a")
-    sim.schedule_raw(1.0, out.append, ("b",))
-    sim.schedule(2.0, out.append, "later")
-    assert sim.drain_batch() == 2
-    assert out == ["a", "b"]
-    assert sim.now == 1.0
-    assert sim.events_processed == 2
-    assert sim.drain_batch() == 1
-    assert out == ["a", "b", "later"]
-    assert sim.drain_batch() == 0
-
-
-def test_drain_batch_grouped_dispatch_preserves_fifo():
-    # Runs of raw entries sharing a callback dispatch through a hoisted
-    # local; interleaving with other callbacks must stay strictly FIFO.
-    sim = Simulator()
-    out = []
-    other = []
-    for i in range(3):
-        sim.schedule_raw(1.0, out.append, (i,))
-    sim.schedule_raw(1.0, other.append, ("x",))
-    for i in range(3, 5):
-        sim.schedule_raw(1.0, out.append, (i,))
-    assert sim.drain_batch() == 6
-    assert out == [0, 1, 2, 3, 4]
-    assert other == ["x"]
-
-
-def test_drain_batch_includes_zero_delay_appends():
-    # Entries scheduled *at the draining instant* from inside a callback
-    # join the same batch — matching run()'s live-bucket semantics.
-    sim = Simulator()
-    out = []
-
-    def first():
-        out.append("first")
-        sim.schedule(0.0, out.append, "appended")
-
-    sim.schedule(1.0, first)
-    assert sim.drain_batch() == 2
-    assert out == ["first", "appended"]
-
-
-def test_drain_batch_until_stops_short_and_advances_clock():
-    sim = Simulator()
-    out = []
-    sim.schedule(5.0, out.append, "far")
-    assert sim.drain_batch(until=2.0) == 0
-    assert sim.now == 2.0
-    assert out == []
-    assert sim.drain_batch() == 1
-    assert out == ["far"]
-
-
-def test_drain_batch_skips_cancelled_entries():
-    sim = Simulator()
-    out = []
-    sim.schedule(1.0, out.append, "live")
-    dead = sim.schedule(1.0, out.append, "dead")
-    dead.cancel()
-    assert sim.drain_batch() == 1
-    assert out == ["live"]
-    assert sim.events_processed == 1
-
-
-def test_drain_batch_not_reentrant():
-    sim = Simulator()
-    calls = []
-
-    def reenter():
-        try:
-            sim.drain_batch()
-        except SimulationError as exc:
-            calls.append(exc)
-
-    sim.schedule(1.0, reenter)
-    sim.run()
-    assert len(calls) == 1
-
-
-def test_clear_inside_drain_batch_drops_stale_siblings():
-    # Regression (kernel v2): clear() fired from inside a batched drain
-    # truncates the active bucket in place — the remaining same-timestamp
-    # entries are stale and must NOT fire, and neither may later buckets.
-    sim = Simulator()
-    out = []
-    sim.schedule(1.0, lambda: (out.append("a"), sim.clear()))
-    sim.schedule(1.0, out.append, "stale-sibling")
-    sim.schedule_raw(1.0, out.append, ("stale-raw",))
-    sim.schedule(2.0, out.append, "later")
-    assert sim.drain_batch() == 1
-    assert out == ["a"]
-    assert sim.pending_events == 0
-    # The engine stays usable: fresh work after the wipe drains normally.
-    sim.schedule(3.0, out.append, "fresh")
-    assert sim.drain_batch() == 1
-    assert out == ["a", "fresh"]
-
-
-def test_clear_inside_grouped_run_stops_same_callback_batch():
-    # The grouped-by-callback fast path must re-check bucket identity
-    # between entries of one run: clear() mid-run of identical callbacks
-    # halts the group immediately.
-    sim = Simulator()
-    out = []
-
-    def record(tag):
-        out.append(tag)
-        if tag == "b":
-            sim.clear()
-
-    for tag in ("a", "b", "c", "d"):
-        sim.schedule_raw(1.0, record, (tag,))
-    assert sim.drain_batch() == 2
-    assert out == ["a", "b"]
-    assert sim.pending_events == 0

@@ -1,6 +1,7 @@
 """Sweep spec compilation: grids, cases, defaults, digests, validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +269,10 @@ class TestValidation:
         path.write_text("name = [unclosed")
         with pytest.raises(SweepError, match="invalid TOML"):
             load_sweep(path)
+
+
+def test_shipped_example_grids_compile():
+    grids = sorted((Path(__file__).parent.parent / "examples").glob("*.toml"))
+    assert grids
+    for path in grids:
+        assert len(load_sweep(path)) > 0, path.name
