@@ -20,7 +20,7 @@ from repro.exec.cache import (
     parse_age,
     parse_size,
 )
-from repro.exec.jobs import RunJob, execute_job, source_fingerprint
+from repro.exec.jobs import RunJob, execute_job, run_job, source_fingerprint
 from repro.exec.pool import (
     EngineStats,
     ExecutionEngine,
@@ -45,5 +45,6 @@ __all__ = [
     "execute_job",
     "parse_age",
     "parse_size",
+    "run_job",
     "source_fingerprint",
 ]

@@ -18,9 +18,9 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
-from repro.exec.jobs import RunJob
+from repro.exec.jobs import RunJob, stored_axes
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -61,18 +61,9 @@ class CacheEntry:
     max_packets: int | None
     fingerprint: str
     size_bytes: int
-    #: Workload spec of the stored run; ``""`` for default-schedule runs
-    #: *and* for entries written before workload support existed (the
-    #: pre-workload wire format had no ``workload`` key).
-    workload: str = ""
-    #: Cache-policy spec of the stored run; ``""`` for default-policy runs
-    #: *and* for entries written before cachelab existed (the pre-cachelab
-    #: wire format had no ``cache`` key in the config).
-    cache: str = ""
-    #: Churn spec of the stored run; ``""`` for static-membership runs
-    #: *and* for entries written before churn support existed (the
-    #: pre-churn wire format had no ``churn`` key).
-    churn: str = ""
+    #: The run axes the stored job carries, name -> value: those off
+    #: their defaults (an axis the entry pre-dates was at its default).
+    axes: Mapping[str, Any] = field(default_factory=dict)
     #: Last-modified time of the entry file (what ``prune`` ages on).
     mtime: float = 0.0
 
@@ -182,9 +173,7 @@ class RunCache:
                         max_packets=job["trace_max_packets"],
                         fingerprint=payload.get("fingerprint", ""),
                         size_bytes=stat.st_size,
-                        workload=job.get("workload", ""),
-                        cache=job["config"].get("cache", ""),
-                        churn=job.get("churn", ""),
+                        axes=stored_axes(job),
                         mtime=stat.st_mtime,
                     )
                 )

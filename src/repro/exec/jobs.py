@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from repro.exec.summary import (
     RunSummary,
@@ -25,7 +25,8 @@ from repro.exec.summary import (
     config_to_dict,
 )
 from repro.faults import FaultPlan
-from repro.harness.config import SimulationConfig
+from repro.harness import runner
+from repro.harness.config import CONFIG_AXES, SimulationConfig, axis, declared_axes
 from repro.harness.registry import available_protocols
 
 
@@ -45,18 +46,26 @@ class RunJob:
     #: run's identity: it folds into :meth:`key`/:meth:`digest`, but only
     #: when non-empty, so fault-free digests match pre-fault builds.
     faults: FaultPlan = FaultPlan()
-    #: Declarative :mod:`repro.workloads` spec driving the send schedule.
-    #: ``""`` (the wire-format default — pre-workload cache entries decode
-    #: to it) means the legacy source-paced schedule; like ``faults``, it
-    #: folds into :meth:`key`/:meth:`digest` only when non-empty, so
-    #: default-schedule digests match pre-workload builds byte for byte.
-    workload: str = ""
+    #: Declarative :mod:`repro.workloads` spec driving the send schedule;
+    #: ``""`` means the legacy source-paced schedule.
+    workload: str = axis(
+        "",
+        compile="repro.workloads:compile_workload",
+        flag_help="drive the send schedule with a repro.workloads spec, e.g. "
+        "zipf:alpha=1.1,objects=500 (default: the source-paced schedule; "
+        "`cesrm workloads` lists the families)",
+        dimension=1,
+    )
     #: Declarative :mod:`repro.churn` spec installing a membership
-    #: join/leave process over the run.  ``""`` (the wire-format default)
-    #: means static membership; like ``faults``/``workload``, it folds
-    #: into :meth:`key`/:meth:`digest` only when non-empty, so
-    #: static-membership digests match pre-churn builds byte for byte.
-    churn: str = ""
+    #: join/leave process over the run; ``""`` means static membership.
+    churn: str = axis(
+        "",
+        compile="repro.churn:compile_churn",
+        flag_help="install a membership join/leave process over the run, e.g. "
+        "churn:rate=0.5,leave=0.4 (default: static membership; see "
+        "docs/topologies.md for the grammar)",
+        dimension=4,
+    )
 
     def __post_init__(self) -> None:
         if self.protocol not in available_protocols():
@@ -64,22 +73,10 @@ class RunJob:
                 f"unknown protocol {self.protocol!r}; "
                 f"known: {available_protocols()}"
             )
-        if self.workload:
-            # Validate eagerly so a typo fails at job construction, not in
-            # a pool worker three layers down (mirrors the protocol check).
-            from repro.workloads import WorkloadError, compile_workload
-
-            try:
-                compile_workload(self.workload)
-            except WorkloadError as exc:
-                raise ValueError(str(exc)) from None
-        if self.churn:
-            from repro.churn import ChurnError, compile_churn
-
-            try:
-                compile_churn(self.churn)
-            except ChurnError as exc:
-                raise ValueError(str(exc)) from None
+        # Validate eagerly so a typo fails at job construction, not in
+        # a pool worker three layers down (mirrors the protocol check).
+        for declared in JOB_AXES:
+            declared.check(getattr(self, declared.name))
 
     # ------------------------------------------------------------------
     # Serialization (the spec must cross process boundaries)
@@ -94,16 +91,17 @@ class RunJob:
         }
         if not self.faults.empty:
             data["faults"] = self.faults.to_dict()
-        if self.workload:
-            data["workload"] = self.workload
-        if self.churn:
-            data["churn"] = self.churn
+        for declared in JOB_AXES:
+            value = getattr(self, declared.name)
+            if value != declared.default:
+                data[declared.name] = value
         return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunJob":
-        # Wire-format compatibility: entries written before fault/workload
-        # support lack those keys and decode to the empty defaults.
+        # Wire-format compatibility: entries written before fault support
+        # or before an axis existed lack those keys and decode to the
+        # defaults.
         return cls(
             trace=data["trace"],
             protocol=data["protocol"],
@@ -111,8 +109,7 @@ class RunJob:
             trace_seed=data["trace_seed"],
             trace_max_packets=data["trace_max_packets"],
             faults=FaultPlan.from_dict(data.get("faults", {"events": []})),
-            workload=data.get("workload", ""),
-            churn=data.get("churn", ""),
+            **{a.name: data[a.name] for a in JOB_AXES if a.name in data},
         )
 
     # ------------------------------------------------------------------
@@ -139,14 +136,37 @@ class RunJob:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def describe(self) -> str:
-        parts = [self.protocol, self.trace]
-        if self.workload:
-            parts.append(self.workload)
-        if self.config.cache:
-            parts.append(f"cache={self.config.cache}")
-        if self.churn:
-            parts.append(self.churn)
-        return "/".join(parts)
+        labels = (f"{k}={v}" for k, v in stored_axes(self.to_dict()).items())
+        return "/".join([self.protocol, self.trace, *labels])
+
+
+#: The axes :class:`RunJob` is home to, and every axis of a run (the
+#: config's ride inside the job).
+JOB_AXES = declared_axes(RunJob)
+RUN_AXES = JOB_AXES + CONFIG_AXES
+_CONFIG_HOMED = frozenset(a.name for a in CONFIG_AXES)
+
+
+def split_axes(
+    values: Mapping[str, Any],
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Axis values by home: ``(RunJob keywords, SimulationConfig
+    changes)``."""
+    job: dict[str, Any] = {}
+    config: dict[str, Any] = {}
+    for name, value in values.items():
+        (config if name in _CONFIG_HOMED else job)[name] = value
+    return job, config
+
+
+def stored_axes(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """The axes a :meth:`RunJob.to_dict` payload carries: those off their
+    defaults, which is all the wire form records — and what tells two
+    otherwise identical runs apart in a listing."""
+    axes = {a.name: payload[a.name] for a in JOB_AXES if a.name in payload}
+    config = payload["config"]
+    axes.update((a.name, config[a.name]) for a in CONFIG_AXES if a.name in config)
+    return axes
 
 
 def synthesize_job_trace(
@@ -164,24 +184,31 @@ def synthesize_job_trace(
     return synthesize_trace(trace_meta(trace), seed=seed, max_packets=max_packets)
 
 
+def run_job(
+    job: RunJob, synthetic=None, tracer=None, profiler=None
+) -> runner.RunResult:
+    """Run ``job`` — the one place a job spec turns into a ``run_trace``
+    call.  ``synthetic`` is the job's already-synthesized trace when the
+    caller holds one; ``tracer`` / ``profiler`` are :mod:`repro.obs` hooks."""
+    if synthetic is None:
+        synthetic = synthesize_job_trace(
+            job.trace, seed=job.trace_seed, max_packets=job.trace_max_packets
+        )
+    return runner.run_trace(
+        synthetic,
+        job.protocol,
+        job.config,
+        tracer=tracer,
+        profiler=profiler,
+        faults=job.faults,
+        **{a.name: getattr(job, a.name) for a in JOB_AXES},
+    )
+
+
 def execute_job(job: RunJob) -> RunSummary:
     """Synthesize the job's trace and run it — the worker-side entry
     point (deterministic in the job spec)."""
-    from repro.harness.runner import run_trace
-
-    synthetic = synthesize_job_trace(
-        job.trace, seed=job.trace_seed, max_packets=job.trace_max_packets
-    )
-    return RunSummary.from_result(
-        run_trace(
-            synthetic,
-            job.protocol,
-            job.config,
-            faults=job.faults,
-            workload=job.workload or None,
-            churn=job.churn,
-        )
-    )
+    return RunSummary.from_result(run_job(job))
 
 
 @lru_cache(maxsize=8)

@@ -1,7 +1,9 @@
 """The execution engine: cache lookup + process-pool fan-out.
 
-:meth:`ExecutionEngine.execute` takes a batch of
-:class:`~repro.exec.jobs.RunJob` specs and returns rehydrated
+:meth:`ExecutionEngine.map_unordered` is the one execution path: cache
+hits surface at once, misses run serially or in chunks pulled by pool
+workers, and every finished job is written to the cache as it lands.
+:meth:`ExecutionEngine.execute` collects that stream into rehydrated
 :class:`~repro.harness.runner.RunResult`\\ s **in input order**, regardless
 of which worker finished first — parallel runs are byte-identical to
 serial ones because each simulation is deterministic in its job spec and
@@ -38,17 +40,14 @@ LocalExecutor = Callable[[RunJob], RunSummary]
 MAX_POOL_REBUILDS = 3
 
 
-def _execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """Worker-process entry point: job dict in, summary dict out (plain
-    JSON data on both sides so nothing enum-keyed crosses the pickle
-    boundary)."""
-    return execute_job(RunJob.from_dict(payload)).to_dict()
-
-
 def _execute_chunk(payloads: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Worker-process entry point for a *chunk* of jobs: amortizes the
-    submit/pickle round-trip when a sweep has thousands of short runs."""
-    return [_execute_payload(payload) for payload in payloads]
+    """Worker-process entry point: a *chunk* of job dicts in, summary
+    dicts out (plain JSON data on both sides so nothing enum-keyed crosses
+    the pickle boundary; a chunk amortizes the submit/pickle round-trip
+    when a sweep has thousands of short runs)."""
+    return [
+        execute_job(RunJob.from_dict(payload)).to_dict() for payload in payloads
+    ]
 
 
 @dataclass
@@ -82,6 +81,9 @@ class JobOutcome:
     #: Execution attempts consumed (0 for a cache hit).
     attempts: int
     error: str | None = None
+    #: The exception itself when the job failed in this process (a
+    #: worker's failure crosses the pool boundary as ``error`` only).
+    exception: BaseException | None = None
 
     @property
     def ok(self) -> bool:
@@ -105,87 +107,38 @@ class ExecutionEngine:
         local_executor: LocalExecutor | None = None,
     ) -> list[RunResult]:
         """Execute ``run_jobs`` (deduplicated) and return results in the
-        order the jobs were given."""
-        fingerprint = source_fingerprint()
-        order: list[str] = []
+        order the jobs were given.  Fails fast: the first job that fails
+        raises — the job's own exception when it ran in this process."""
+        keys = [job.key() for job in run_jobs]
         unique: dict[str, RunJob] = {}
-        for job in run_jobs:
-            key = job.key()
-            order.append(key)
+        for key, job in zip(keys, run_jobs):
             unique.setdefault(key, job)
-
-        results: dict[str, RunResult] = {}
-        pending: list[RunJob] = []
-        for key, job in unique.items():
-            summary_dict = (
-                self.cache.get(job, fingerprint) if self.cache else None
-            )
-            if summary_dict is not None:
-                try:
-                    results[key] = RunSummary.from_dict(summary_dict).to_result()
-                    self.stats.cache_hits += 1
-                    continue
-                except (ValueError, TypeError, KeyError):
-                    pass  # undecodable entry: recompute and overwrite
-            self.stats.cache_misses += 1
-            pending.append(job)
-
-        if pending:
-            self._report(
-                f"[exec] {len(pending)} job(s) to run, "
-                f"{len(unique) - len(pending)} cached"
-            )
-            summaries = self._run_pending(pending, local_executor)
-            for job, summary in zip(pending, summaries):
-                if self.cache is not None:
-                    self.cache.put(job, fingerprint, summary.to_dict())
-                results[job.key()] = summary.to_result()
-            self.stats.executed += len(pending)
-        return [results[key] for key in order]
-
-    # ------------------------------------------------------------------
-    # Execution strategies
-    # ------------------------------------------------------------------
-    def _run_pending(
-        self, pending: list[RunJob], local_executor: LocalExecutor | None
-    ) -> list[RunSummary]:
-        if self.jobs > 1 and len(pending) > 1:
-            try:
-                summaries = self._run_parallel(pending)
-                self.stats.executed_parallel += len(pending)
-                return summaries
-            except (OSError, ImportError, PicklingError, RuntimeError) as exc:
-                self._report(
-                    f"[exec] process pool unavailable ({exc!r}); "
-                    "running serially"
+        # An outcome carries the job object it ran, not its key, and a
+        # key is a digest — most of what a warm batch costs — so results
+        # are held by that object's identity, not by computing it again.
+        results: dict[int, RunResult] = {}
+        cached = ran = 0
+        # One job per chunk: a worker failure then names the job that
+        # raised, not a chunk-mate.
+        for outcome in self._stream(
+            unique, chunk_size=1, retries=0, local_executor=local_executor
+        ):
+            if outcome.exception is not None:
+                raise outcome.exception
+            if outcome.summary is None:
+                raise RuntimeError(
+                    f"{outcome.job.describe()} failed: {outcome.error}"
                 )
-        return self._run_serial(pending, local_executor)
-
-    def _run_serial(
-        self, pending: list[RunJob], local_executor: LocalExecutor | None
-    ) -> list[RunSummary]:
-        run = local_executor or execute_job
-        out = []
-        for index, job in enumerate(pending):
-            out.append(run(job))
-            self._report(
-                f"[exec] {index + 1}/{len(pending)} done ({job.describe()})"
-            )
-        return out
-
-    def _run_parallel(self, pending: list[RunJob]) -> list[RunSummary]:
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_execute_payload, job.to_dict()) for job in pending
-            ]
-            summaries = []
-            for index, (job, future) in enumerate(zip(pending, futures)):
-                summaries.append(RunSummary.from_dict(future.result()))
+            results[id(outcome.job)] = outcome.summary.to_result()
+            if outcome.cached:
+                cached += 1  # hits all surface before the first run
+            else:
+                ran += 1
                 self._report(
-                    f"[exec] {index + 1}/{len(pending)} done ({job.describe()})"
+                    f"[exec] {ran}/{len(unique) - cached} done "
+                    f"({outcome.job.describe()})"
                 )
-        return summaries
+        return [results[id(unique[key])] for key in keys]
 
     # ------------------------------------------------------------------
     # Streaming execution (the repro.sweep scheduler's substrate)
@@ -195,12 +148,12 @@ class ExecutionEngine:
         run_jobs: Sequence[RunJob],
         chunk_size: int | None = None,
         retries: int = 2,
+        local_executor: LocalExecutor | None = None,
     ) -> Iterator[JobOutcome]:
         """Execute ``run_jobs`` (deduplicated) and yield one
         :class:`JobOutcome` per unique job **as each completes**.
 
-        Unlike :meth:`execute`, which batches and re-orders, this is the
-        fleet path: cache hits surface immediately, misses are packed
+        Cache hits surface immediately, misses are packed
         into chunks and pulled by pool workers as they free up (late
         binding — an idle worker steals the next chunk off the shared
         queue rather than owning a pre-assigned shard), every completed
@@ -209,13 +162,23 @@ class ExecutionEngine:
         in-flight chunks), and a job that dies with its worker is
         retried — as a singleton, so one poisoned job cannot re-fail its
         chunk-mates — up to ``retries`` extra attempts before it is
-        reported failed instead of aborting the sweep.
+        reported failed instead of aborting the sweep.  The serial path
+        runs each job through ``local_executor`` when one is given.
         """
-        fingerprint = source_fingerprint()
         unique: dict[str, RunJob] = {}
         for job in run_jobs:
             unique.setdefault(job.key(), job)
+        return self._stream(unique, chunk_size, retries, local_executor)
 
+    def _stream(
+        self,
+        unique: dict[str, RunJob],
+        chunk_size: int | None,
+        retries: int,
+        local_executor: LocalExecutor | None,
+    ) -> Iterator[JobOutcome]:
+        """:meth:`map_unordered` over jobs already deduplicated by key."""
+        fingerprint = source_fingerprint()
         pending: list[RunJob] = []
         for job in unique.values():
             summary = self._cached_summary(job, fingerprint)
@@ -242,7 +205,9 @@ class ExecutionEngine:
                     f"[exec] process pool unavailable ({exc!r}); "
                     "running serially"
                 )
-        yield from self._map_serial(pending, fingerprint, retries)
+        yield from self._map_serial(
+            pending, fingerprint, retries, local_executor
+        )
 
     def _cached_summary(
         self, job: RunJob, fingerprint: str
@@ -265,26 +230,40 @@ class ExecutionEngine:
         self.stats.executed += 1
         return JobOutcome(job, summary, cached=False, attempts=attempts)
 
-    def _fail_job(self, job: RunJob, attempts: int, error: str) -> JobOutcome:
+    def _fail_job(
+        self,
+        job: RunJob,
+        attempts: int,
+        error: str,
+        exception: BaseException | None = None,
+    ) -> JobOutcome:
         self.stats.failed += 1
         self._report(
             f"[exec] giving up on {job.describe()} after "
             f"{attempts} attempt(s): {error}"
         )
-        return JobOutcome(job, None, cached=False, attempts=attempts, error=error)
+        return JobOutcome(
+            job, None, cached=False, attempts=attempts, error=error,
+            exception=exception,
+        )
 
     def _map_serial(
-        self, pending: list[RunJob], fingerprint: str, retries: int
+        self,
+        pending: list[RunJob],
+        fingerprint: str,
+        retries: int,
+        local_executor: LocalExecutor | None,
     ) -> Iterator[JobOutcome]:
+        run = local_executor or execute_job
         for job in pending:
             attempts = 0
             while True:
                 attempts += 1
                 try:
-                    summary = execute_job(job)
+                    summary = run(job)
                 except Exception as exc:  # noqa: BLE001 - retried, then surfaced
                     if attempts > retries:
-                        yield self._fail_job(job, attempts, repr(exc))
+                        yield self._fail_job(job, attempts, repr(exc), exc)
                         break
                     self.stats.retried += 1
                     self._report(

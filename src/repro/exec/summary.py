@@ -21,7 +21,7 @@ from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from repro.harness.config import SimulationConfig
+from repro.harness.config import CONFIG_AXES, SimulationConfig
 from repro.harness.runner import RunResult
 from repro.metrics.collector import MetricsCollector, RecoveryRecord
 from repro.metrics.overhead import OverheadBreakdown
@@ -32,34 +32,25 @@ from repro.srm.constants import SrmParams
 #: treated as misses rather than decoded.
 SCHEMA_VERSION = 1
 
-
 def config_to_dict(config: SimulationConfig) -> dict[str, Any]:
     """``SimulationConfig`` (with nested ``SrmParams``) as plain JSON data.
 
-    The ``cache`` policy spec is omitted when default (``""``),
-    ``prime_distances`` when False, and ``kernel`` when ``"python"``, so
-    default-config job keys and summaries stay byte-identical to earlier
-    builds — the same discipline as the optional ``faults``/``workload``
-    summary blocks.
+    An axis at its default is omitted, so default-config job keys and
+    summaries stay byte-identical to builds that pre-date the axis — the
+    same discipline as the optional summary blocks.
     """
     data = asdict(config)
-    if not data["cache"]:
-        del data["cache"]
-    if not data["prime_distances"]:
-        del data["prime_distances"]
-    if data["kernel"] == "python":
-        del data["kernel"]
+    for declared in CONFIG_AXES:
+        if data[declared.name] == declared.default:
+            del data[declared.name]
     return data
 
 
 def config_from_dict(data: dict[str, Any]) -> SimulationConfig:
-    """Inverse of :func:`config_to_dict` (accepts the pre-cachelab wire
-    format: a missing ``cache`` key means the default policy)."""
+    """Inverse of :func:`config_to_dict` (a missing axis key — the wire
+    format before the axis existed — decodes to the field's default)."""
     payload = dict(data)
     payload["params"] = SrmParams(**payload["params"])
-    payload.setdefault("cache", "")
-    payload.setdefault("prime_distances", False)
-    payload.setdefault("kernel", "python")
     return SimulationConfig(**payload)
 
 
@@ -165,11 +156,7 @@ class RunSummary:
             sim_time=result.sim_time,
             events_processed=result.events_processed,
             wall_time=result.wall_time,
-            obs=result.obs,
-            faults=result.faults,
-            workload=result.workload,
-            cache=result.cache,
-            churn=result.churn,
+            **{name: getattr(result, name) for name in _OPTIONAL_BLOCKS},
         )
 
     def to_result(self) -> RunResult:
@@ -213,11 +200,7 @@ class RunSummary:
             sim_time=self.sim_time,
             events_processed=self.events_processed,
             wall_time=self.wall_time,
-            obs=self.obs,
-            faults=self.faults,
-            workload=self.workload,
-            cache=self.cache,
-            churn=self.churn,
+            **{name: getattr(self, name) for name in _OPTIONAL_BLOCKS},
         )
 
     # ------------------------------------------------------------------
@@ -262,4 +245,8 @@ class RunSummary:
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(RunSummary))
-_OPTIONAL_BLOCKS = ("obs", "faults", "workload", "cache", "churn")
+#: The optional blocks: the fields declared with a ``None`` default,
+#: present only on runs that used the feature.
+_OPTIONAL_BLOCKS = tuple(
+    f.name for f in fields(RunSummary) if f.default is None
+)

@@ -91,16 +91,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.churn import compile_churn
-from repro.core.cachelab import compile_cache_policy
 from repro.exec.cache import RunCache, default_cache_dir
-from repro.exec.jobs import source_fingerprint
+from repro.exec.jobs import RUN_AXES, run_job, source_fingerprint
 from repro.harness import experiments as exp
 from repro.harness import report
 from repro.harness.registry import all_specs, available_protocols
 from repro.metrics.stats import mean
 from repro.traces.yajnik import YAJNIK_TRACES
-from repro.workloads import compile_workload
 
 COMMANDS = (
     "table1",
@@ -127,6 +124,9 @@ COMMANDS = (
     "all",
 )
 
+#: The run axes whose declaration asks for a ``--<name>`` flag.
+FLAG_AXES = tuple(a for a in RUN_AXES if a.flag_help is not None)
+
 #: Subcommands of ``cesrm sweep`` (the first ``names`` positional).
 SWEEP_SUBCOMMANDS = ("run", "status", "query", "report")
 
@@ -151,17 +151,15 @@ def _trace_arg(value: str) -> str:
     )
 
 
-def _spec_arg(compile_fn):
-    """An argparse ``type`` for a spec-string flag (``--workload``,
-    ``--cache``, ``--churn``): compile eagerly so typos fail at parse
-    time.  Every spec error is a ``ValueError``."""
+def _axis_arg(declared):
+    """An argparse ``type`` for a run-axis flag: validate eagerly so typos
+    fail at parse time.  Every axis error is a ``ValueError``."""
 
     def parse(value: str) -> str:
-        if value:
-            try:
-                compile_fn(value)
-            except ValueError as exc:
-                raise argparse.ArgumentTypeError(str(exc)) from None
+        try:
+            declared.check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     return parse
@@ -201,46 +199,20 @@ def build_parser() -> argparse.ArgumentParser:
         "spec like tree:depth=3,fanout=4",
     )
     parser.add_argument(
-        "--workload",
-        default="",
-        type=_spec_arg(compile_workload),
-        metavar="SPEC",
-        help="drive the send schedule with a repro.workloads spec, e.g. "
-        "zipf:alpha=1.1,objects=500 (default: the source-paced schedule; "
-        "`cesrm workloads` lists the families)",
-    )
-    parser.add_argument(
         "--protocol",
         default="cesrm",
         choices=available_protocols(),
         help="protocol for the `run` command",
     )
-    parser.add_argument(
-        "--kernel",
-        default="python",
-        choices=("python", "vector"),
-        help="forwarding kernel: the pure-python reference path or the "
-        "numpy batched delivery-wave kernel (`cesrm run --kernel vector`; "
-        "both produce byte-identical results — see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--cache",
-        default="",
-        type=_spec_arg(compile_cache_policy),
-        metavar="SPEC",
-        help="recovery-cache policy spec for CESRM runs, e.g. "
-        "lru:capacity=16 or ttl:capacity=16,ttl=30s (default: the paper's "
-        "seqno-ordered cache; `cesrm caches` lists the policies)",
-    )
-    parser.add_argument(
-        "--churn",
-        default="",
-        type=_spec_arg(compile_churn),
-        metavar="SPEC",
-        help="install a membership join/leave process over the run, e.g. "
-        "churn:rate=0.5,leave=0.4 (default: static membership; see "
-        "docs/topologies.md for the grammar)",
-    )
+    for declared in FLAG_AXES:
+        parser.add_argument(
+            "--" + declared.name.replace("_", "-"),
+            default=declared.default,
+            type=_axis_arg(declared),
+            choices=declared.choices,
+            metavar=None if declared.choices else "SPEC",
+            help=declared.flag_help,
+        )
     parser.add_argument(
         "--faults",
         default=None,
@@ -471,14 +443,10 @@ def _context(args: argparse.Namespace) -> exp.ExperimentContext:
         cache=_cache(args),
         progress=progress,
         faults=_fault_plan(args),
-        workload=getattr(args, "workload", ""),
-        cache_policy=getattr(args, "cache", ""),
-        churn=getattr(args, "churn", ""),
+        axes={a.name: getattr(args, a.name) for a in FLAG_AXES},
     )
     if getattr(args, "verify", False):
         ctx.config = ctx.config.with_(verify_period=0.05)
-    if getattr(args, "kernel", "python") != "python":
-        ctx.config = ctx.config.with_(kernel=args.kernel)
     return ctx
 
 
@@ -610,12 +578,10 @@ def _cache_command(args: argparse.Namespace) -> str:
     for entry in entries:
         marker = "ok " if entry.fingerprint == fingerprint else "old"
         cap = "full" if entry.max_packets is None else entry.max_packets
-        workload = f" workload={entry.workload}" if entry.workload else ""
-        policy = f" cache={entry.cache}" if entry.cache else ""
-        churn = f" churn={entry.churn}" if entry.churn else ""
+        labels = "".join(f" {k}={v}" for k, v in entry.axes.items())
         lines.append(
             f"  [{marker}] {entry.protocol:>12} {entry.trace:<10} "
-            f"seed={entry.seed} cap={cap}{workload}{policy}{churn} "
+            f"seed={entry.seed} cap={cap}{labels} "
             f"({entry.size_bytes} B)"
         )
     return "\n".join(lines)
@@ -683,7 +649,6 @@ def _traced_run(args: argparse.Namespace, ctx: exp.ExperimentContext):
     Returns ``(result, ring, profiler)``; ``ring`` holds the in-memory
     event stream, and a JSONL copy lands at ``--trace-out`` when given.
     """
-    from repro.harness.runner import run_trace as _run_trace
     from repro.obs import JsonlFileSink, RingBufferSink, SimProfiler, Tracer
 
     ring = RingBufferSink()
@@ -692,10 +657,11 @@ def _traced_run(args: argparse.Namespace, ctx: exp.ExperimentContext):
         sinks.append(JsonlFileSink(args.trace_out))
     tracer = Tracer(*sinks)
     profiler = SimProfiler() if args.profile else None
-    result = _run_trace(
-        ctx.trace(args.trace), args.protocol, ctx.config,
-        tracer=tracer, profiler=profiler, faults=ctx.faults,
-        workload=ctx.workload or None, churn=ctx.churn,
+    result = run_job(
+        ctx.job(args.trace, args.protocol),
+        synthetic=ctx.trace(args.trace),
+        tracer=tracer,
+        profiler=profiler,
     )
     return result, ring, profiler
 

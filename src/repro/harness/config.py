@@ -9,10 +9,70 @@ a data transmission start delayed until distance estimates have converged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field, fields, replace
+from importlib import import_module
+from typing import Any, NamedTuple
 
 from repro.srm.constants import SrmParams
+
+
+class Axis(NamedTuple):
+    """One optional run axis, as the dataclass field made by :func:`axis`
+    declares it (see "Adding a run axis" in DESIGN.md)."""
+
+    name: str
+    default: Any
+    #: ``"module:function"`` compiling a spec-string value (raises
+    #: ``ValueError`` on a bad one); imported on first use, because the
+    #: spec compilers themselves import the harness.
+    compile: str | None
+    choices: tuple | None
+    flag_help: str | None
+    dimension: int
+
+    def check(self, value: Any) -> None:
+        """Raise ``ValueError`` unless ``value`` is valid for this axis."""
+        if value == self.default:
+            return
+        if self.choices is not None and value not in self.choices:
+            expected = " or ".join(repr(choice) for choice in self.choices)
+            raise ValueError(
+                f"unknown {self.name} {value!r} (expected {expected})"
+            )
+        if self.compile is not None:
+            module, _, function = self.compile.partition(":")
+            getattr(import_module(module), function)(value)
+
+
+def axis(
+    default: Any,
+    *,
+    compile: str | None = None,
+    choices: tuple | None = None,
+    flag_help: str | None = None,
+    dimension: int = 0,
+) -> Any:
+    """Declare an optional run axis: a dataclass field whose declaration
+    is the whole contract.  Every axis is validated eagerly at its home,
+    folds into the wire form (job keys, summaries, cache entries) only
+    when off ``default`` — a payload without the key decodes to
+    ``default``, so adding an axis moves no existing digest — and labels
+    a non-default run as ``name=value``.  ``flag_help`` adds the
+    ``--<name>`` CLI flag; a non-zero ``dimension`` makes the axis a
+    ``[grid]`` axis of sweep specs and a result-store column, in that
+    column slot (the hand-written ``faults`` holds slot 2)."""
+    declared = Axis("", default, compile, choices, flag_help, dimension)
+    return field(default=default, metadata={"axis": declared})
+
+
+def declared_axes(cls: type) -> tuple[Axis, ...]:
+    """The axes ``cls`` declares with :func:`axis`, in field order, each
+    under its field's name."""
+    return tuple(
+        f.metadata["axis"]._replace(name=f.name)
+        for f in fields(cls)
+        if "axis" in f.metadata
+    )
 
 
 @dataclass(frozen=True)
@@ -33,10 +93,15 @@ class SimulationConfig:
     cache_capacity: int = 16
     #: Recovery-cache policy spec (see repro.core.cachelab), e.g.
     #: ``"lru:capacity=8"`` or ``"ttl:capacity=16,ttl=30s"``.  The empty
-    #: string — the default — means the paper's policy at
-    #: ``cache_capacity`` and keeps runs byte-identical to pre-cachelab
-    #: output (the field is omitted from job keys and summaries).
-    cache: str = ""
+    #: string means the paper's policy at ``cache_capacity``.
+    cache: str = axis(
+        "",
+        compile="repro.core.cachelab:compile_cache_policy",
+        flag_help="recovery-cache policy spec for CESRM runs, e.g. "
+        "lru:capacity=16 or ttl:capacity=16,ttl=30s (default: the paper's "
+        "seqno-ordered cache; `cesrm caches` lists the policies)",
+        dimension=3,
+    )
     #: Expeditious-pair selection policy name (see repro.core.policies).
     policy: str = "most-recent"
     #: Detect losses from foreign repair requests (ns-2 SRM behaviour).
@@ -56,19 +121,21 @@ class SimulationConfig:
     #: O(n²) deliveries per period, which caps simulable group sizes
     #: around 10^3; primed runs reach 10^5+ receivers with the same
     #: timer math (the oracle returns exactly what a lossless exchange
-    #: converges to).  False — the default — simulates the exchange and
-    #: keeps runs byte-identical to pre-scale builds (the field is
-    #: omitted from job keys and summaries when False).
-    prime_distances: bool = False
+    #: converges to).  False simulates the exchange.
+    prime_distances: bool = axis(False)
     #: Forwarding-kernel selection: ``"python"`` — the pure-python
     #: per-hop reference path, the oracle every optimization is measured
     #: against — or ``"vector"`` — the numpy batched delivery-wave kernel
     #: (see ``repro.net.vector`` and docs/performance.md).  Both produce
     #: byte-identical ``RunSummary`` output (gated by
-    #: ``tests/test_kernel_equivalence.py``); ``"python"`` — the default —
-    #: is omitted from job keys and summaries so pre-v2 digests are
-    #: unchanged.
-    kernel: str = "python"
+    #: ``tests/test_kernel_equivalence.py``).
+    kernel: str = axis(
+        "python",
+        choices=("python", "vector"),
+        flag_help="forwarding kernel: the pure-python reference path or the "
+        "numpy batched delivery-wave kernel (`cesrm run --kernel vector`; "
+        "both produce byte-identical results — see docs/performance.md)",
+    )
     #: Master seed for all protocol jitter in the run.
     seed: int = 0
     #: Replay only the first N packets of the trace (None = full trace).
@@ -89,18 +156,10 @@ class SimulationConfig:
             raise ValueError("reorder_delay must be non-negative")
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
-        if self.cache:
-            # Eager validation: a typo'd policy spec fails at config
-            # construction, before any job is keyed or simulation built.
-            # (Imported lazily — cachelab itself depends on the harness's
-            # shared spec grammar.)
-            from repro.core.cachelab import compile_cache_policy
-
-            compile_cache_policy(self.cache)
-        if self.kernel not in ("python", "vector"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r} (expected 'python' or 'vector')"
-            )
+        # Eager validation: a typo'd axis value fails at config
+        # construction, before any job is keyed or simulation built.
+        for declared in CONFIG_AXES:
+            declared.check(getattr(self, declared.name))
         if self.warmup_periods < 0:
             raise ValueError("warmup_periods must be non-negative")
         if self.drain_time < 0:
@@ -118,3 +177,7 @@ class SimulationConfig:
     def with_(self, **changes: Any) -> "SimulationConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+#: The axes :class:`SimulationConfig` is home to.
+CONFIG_AXES = declared_axes(SimulationConfig)

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable, Mapping
 
 from repro.exec.cache import RunCache
-from repro.exec.jobs import RunJob, synthesize_job_trace
+from repro.exec.jobs import RunJob, run_job, split_axes, synthesize_job_trace
 from repro.exec.pool import ExecutionEngine
 from repro.exec.summary import RunSummary
 from repro.faults import FaultPlan
@@ -35,7 +35,7 @@ from repro.harness.analysis import (
     LatencyModel,
 )
 from repro.harness.config import SimulationConfig
-from repro.harness.runner import RunResult, run_trace
+from repro.harness.runner import RunResult
 from repro.metrics.stats import mean
 from repro.traces.model import SyntheticTrace
 from repro.traces.yajnik import FIGURE_TRACES, YAJNIK_TRACES
@@ -73,28 +73,19 @@ class ExperimentContext:
         cache: RunCache | None = None,
         progress=None,
         faults: FaultPlan | None = None,
-        workload: str = "",
-        cache_policy: str = "",
-        churn: str = "",
+        axes: Mapping[str, Any] | None = None,
     ) -> None:
         if max_packets == "default":
             max_packets = default_max_packets()
         self.max_packets = max_packets  # type: ignore[assignment]
         self.seed = seed
         self.faults = faults if faults is not None else FaultPlan()
-        # Spec strings are validated where they are used: ``RunJob``
-        # (workload, churn) and ``SimulationConfig`` (cache policy).
-        self.workload = workload
-        self.churn = churn
-        # ``cache`` is already taken by the RunCache handle, so the recovery
-        # cache-policy spec rides in as ``cache_policy`` and folds into the
-        # config (where SimulationConfig validates it eagerly).
-        self.cache_policy = cache_policy
+        # ``axes`` maps declared run axes to this batch's values; each is
+        # validated at its home, the job or the config it is folded into.
+        self._job_axes, config_axes = split_axes(axes or {})
         self.config = (config or SimulationConfig()).with_(
-            seed=seed, max_packets=self.max_packets
+            seed=seed, max_packets=self.max_packets, **config_axes
         )
-        if cache_policy:
-            self.config = self.config.with_(cache=cache_policy)
         self.engine = ExecutionEngine(jobs=jobs, cache=cache, progress=progress)
         self._traces: dict[str, SyntheticTrace] = {}
         self._runs: dict[tuple[str, str, SimulationConfig], RunResult] = {}
@@ -119,30 +110,14 @@ class ExperimentContext:
             trace_seed=self.seed,
             trace_max_packets=self.max_packets,
             faults=self.faults,
-            workload=self.workload,
-            churn=self.churn,
+            **self._job_axes,
         )
 
     def _execute_local(self, job: RunJob) -> RunSummary:
-        """Serial in-process executor reusing the memoized trace."""
-        if (
-            job.trace_seed == self.seed
-            and job.trace_max_packets == self.max_packets
-        ):
-            synthetic = self.trace(job.trace)
-        else:  # pragma: no cover - jobs are always built via self.job()
-            synthetic = synthesize_job_trace(
-                job.trace, seed=job.trace_seed, max_packets=job.trace_max_packets
-            )
+        """Serial in-process executor reusing the memoized trace (jobs
+        are always built by :meth:`job`, so the trace is this context's)."""
         return RunSummary.from_result(
-            run_trace(
-                synthetic,
-                job.protocol,
-                job.config,
-                faults=job.faults,
-                workload=job.workload or None,
-                churn=job.churn,
-            )
+            run_job(job, synthetic=self.trace(job.trace))
         )
 
     def prefetch(self, specs: Iterable[RunSpec]) -> None:

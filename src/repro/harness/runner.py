@@ -182,8 +182,8 @@ def build_simulation(
     plan-less build).
     ``workload`` is an optional :mod:`repro.workloads` spec string or
     compiled :class:`~repro.workloads.Workload`; like ``faults`` it is part
-    of the run's identity, and ``None`` takes the original hard-coded
-    source-paced schedule, byte for byte.
+    of the run's identity, and ``None`` (or the empty spec) takes the
+    original hard-coded source-paced schedule, byte for byte.
     ``churn`` is an optional :mod:`repro.churn` spec string (or compiled
     :class:`~repro.churn.ChurnPlan`); a non-empty spec installs a seeded
     join/leave process over the run, and the empty spec leaves the run
@@ -289,7 +289,7 @@ def build_simulation(
     source_agent = agents[tree.source]
     workload_obj = None
     send_events: tuple = ()
-    if workload is None:
+    if not workload:
         for seq in range(trace.n_packets):
             sim.schedule_at(t0 + seq * trace.period, source_agent.send_data, seq)
         end_of_data = trace.n_packets * trace.period

@@ -10,20 +10,16 @@ per query:
 * parent / children / neighbor arrays (children first, then the parent —
   the flood fan-out order of the string implementation),
 * per-node depth and a binary-lifting ancestor table (O(log depth) LCA,
-  paths, hop distances, and per-pair next hops),
+  paths, and hop distances),
 * Euler-tour ``tin``/``tout`` intervals (O(1) strict descendant tests),
 * subtree-receiver bitsets (one bit per receiver), replacing per-query
-  ``frozenset`` algebra in the attribution DP,
-* a dense per-pair next-hop table (``next_hop[u * n + v]``).
+  ``frozenset`` algebra in the attribution DP.
 
 Scale split: the structures above the first two bullets are *lazy*.  The
 eager core (ids, parent/children/depth, lifting table) is O(n log depth)
 to build, so a 10^5-node index is cheap; the Euler group recomputes in
-one O(n) walk when dirty, the bitset group only materializes for the
-attribution DP (which runs on small measured worlds), and the dense
-next-hop table — O(n^2), fine at Yajnik scale, impossible at 10^5 —
-materializes only on attribute access (:meth:`next_hop_int` answers the
-same query lazily in O(log depth)).
+one O(n) walk when dirty, and the bitset group only materializes for the
+attribution DP (which runs on small measured worlds).
 
 Membership churn: :meth:`attach_leaf` and :meth:`detach_subtree` patch
 the index in place instead of rebuilding.  Detached nodes are
@@ -83,7 +79,6 @@ class TopologyIndex:
         "_receiver_bit",
         "_subtree_bits",
         "_bits_dirty",
-        "_next_hop",
     )
 
     def __init__(
@@ -144,7 +139,6 @@ class TopologyIndex:
         self._receiver_bit: list[int] = []
         self._subtree_bits: list[int] = []
         self._bits_dirty = True
-        self._next_hop: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Lazy groups
@@ -222,50 +216,9 @@ class TopologyIndex:
             self._recompute_bits()
         return self._subtree_bits
 
-    @property
-    def next_hop(self) -> list[int]:
-        """Dense next-hop table (``next_hop[u * n + v]``), materialized on
-        first access — O(n^2), for small worlds and the patch oracle; the
-        hot path and large worlds use :meth:`next_hop_int`."""
-        if self._next_hop is None:
-            n = self.n
-            next_hop = [NO_NODE] * (n * n)
-            for origin in range(n):
-                if not self.alive[origin]:
-                    continue
-                base = origin * n
-                frontier = [origin]
-                seen = bytearray(n)
-                seen[origin] = 1
-                while frontier:
-                    nxt: list[int] = []
-                    for node in frontier:
-                        hop = next_hop[base + node]  # NO_NODE only at the origin
-                        for nb in self.neighbors[node]:
-                            if seen[nb]:
-                                continue
-                            seen[nb] = 1
-                            next_hop[base + nb] = nb if hop == NO_NODE else hop
-                            nxt.append(nb)
-                    frontier = nxt
-            self._next_hop = next_hop
-        return self._next_hop
-
     # ------------------------------------------------------------------
     # Membership patching
     # ------------------------------------------------------------------
-    def _ancestor_at_depth(self, node: int, target_depth: int) -> int:
-        """Jump ``node`` up to its ancestor at ``target_depth``."""
-        diff = self.depth[node] - target_depth
-        up = self._up
-        k = 0
-        while diff:
-            if diff & 1:
-                node = up[k][node]
-            diff >>= 1
-            k += 1
-        return node
-
     def _ensure_levels(self, wanted: int) -> None:
         """Grow the lifting table to ``wanted`` levels (column-wise, so
         existing entries — including tombstoned rows — stay coherent)."""
@@ -336,7 +289,6 @@ class TopologyIndex:
                 self.receiver_ids.append(node)
         self._euler_dirty = True
         self._bits_dirty = True
-        self._next_hop = None
         return node
 
     def detach_subtree(self, name: str) -> tuple[int, ...]:
@@ -362,7 +314,6 @@ class TopologyIndex:
             stack.extend(self.children[cur])
         self._euler_dirty = True
         self._bits_dirty = True
-        self._next_hop = None
         return tuple(detached)
 
     def alive_ids(self) -> tuple[int, ...]:
@@ -405,16 +356,6 @@ class TopologyIndex:
             and self._tin[ancestor] <= self._tin[node]
             and self._tout[node] <= self._tout[ancestor]
         )
-
-    def next_hop_int(self, origin: int, dest: int) -> int:
-        """First hop from ``origin`` toward ``dest`` in O(log depth) —
-        the lazy equivalent of one :attr:`next_hop` cell."""
-        if origin == dest:
-            return NO_NODE
-        top = self.lca_int(origin, dest)
-        if top != origin:
-            return self.parent[origin]
-        return self._ancestor_at_depth(dest, self.depth[origin] + 1)
 
     def path_ints(self, a: int, b: int) -> tuple[int, ...]:
         """The unique tree path from ``a`` to ``b``, inclusive of both."""

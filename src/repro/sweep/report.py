@@ -13,7 +13,7 @@ import csv
 import io
 from typing import Any, Sequence
 
-from repro.sweep.store import SweepStore
+from repro.sweep.store import DIMENSIONS, SweepStore
 
 FORMATS = ("table", "csv", "markdown")
 
@@ -87,9 +87,7 @@ def render_sweep_report(store: SweepStore, digest: str, fmt: str = "table") -> s
     dimension that varies in this sweep (a dimension with one distinct
     value adds nothing but noise to a group-by)."""
     varying = [
-        dim
-        for dim in ("protocol", "trace", "workload", "faults", "seed", "params")
-        if len(store.distinct(digest, dim)) > 1
+        dim for dim in DIMENSIONS if len(store.distinct(digest, dim)) > 1
     ]
     group_by = varying or ["protocol"]
     counts = store.counts(digest)

@@ -36,17 +36,16 @@ resumability and the result store.
 
 Axes
 ----
-``protocol``, ``trace`` (Yajnik name or topology spec), ``workload``
-(:mod:`repro.workloads` spec string, ``""`` = default schedule),
-``faults`` (path to a :class:`~repro.faults.FaultPlan` JSON file,
-resolved relative to the spec file, or an inline plan table; ``""`` =
-no faults), ``cache`` (a :mod:`repro.core.cachelab` policy spec string
-like ``lru:capacity=8``; ``""`` = the paper's default cache), ``churn``
-(a :mod:`repro.churn` membership spec like ``churn:rate=0.5``; ``""`` =
-static membership), ``seed`` (folds into both the config seed and the trace
-synthesis seed, exactly like the CLI's ``--seed``), and — under
-``grid.params`` / ``params`` / ``cases.params`` — any
-:class:`~repro.harness.config.SimulationConfig` field.
+``protocol``, ``trace`` (Yajnik name or topology spec), ``faults`` (path
+to a :class:`~repro.faults.FaultPlan` JSON file, resolved relative to
+the spec file, or an inline plan table; ``""`` = no faults), every run
+axis declared as a sweep ``dimension`` (see
+:func:`repro.harness.config.axis`; a spec string, its default = the
+paper's behaviour), ``seed`` (folds into both the config seed and the
+trace synthesis seed, exactly like the CLI's ``--seed``), and — under
+``grid.params`` / ``params`` / ``cases.params`` — any other
+:class:`~repro.harness.config.SimulationConfig` field.  :data:`AXES`
+lists them by name.
 
 ``max_packets`` is the per-trace replay cap (``0`` means the full
 trace); it defaults to the harness's standard 3000-packet cap and, like
@@ -63,24 +62,26 @@ from itertools import product
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.exec.jobs import RunJob
+from repro.exec.jobs import RUN_AXES, RunJob, split_axes
 from repro.faults import FaultPlan
-from repro.harness.config import SimulationConfig
+from repro.harness.config import CONFIG_AXES, SimulationConfig
 
 #: Bump when the compiled-job layout changes meaning; folds into digests.
 SWEEP_SCHEMA = 1
 
-#: The swept dimensions a grid (or case) may name directly.
-AXES = (
-    "protocol",
-    "trace",
-    "workload",
-    "faults",
-    "cache",
-    "churn",
-    "seed",
-    "max_packets",
+#: The declared run axes a grid may sweep, and the optional dimensions in
+#: result-store column order: those plus the hand-written ``faults``
+#: (whose value is a plan, not a string) in the column slot it holds.
+GRID_AXES = tuple(a for a in RUN_AXES if a.dimension)
+OPTIONAL_AXES = tuple(
+    name
+    for _, name in sorted(
+        [(a.dimension, a.name) for a in GRID_AXES] + [(2, "faults")]
+    )
 )
+
+#: The swept dimensions a grid (or case) may name directly.
+AXES = ("protocol", "trace", *OPTIONAL_AXES, "seed", "max_packets")
 
 #: Default per-trace replay cap, deliberately *not* env-sensitive (the
 #: same spec file must compile to the same digest everywhere).
@@ -88,9 +89,11 @@ DEFAULT_SWEEP_MAX_PACKETS = 3000
 
 _CONFIG_FIELDS = {f.name for f in fields(SimulationConfig)}
 #: Config fields that may not appear under ``params`` because they are
-#: proper axes (seed/max_packets shape trace synthesis too; cache is a
-#: dimension column of the result store).
-_RESERVED_PARAMS = ("seed", "max_packets", "cache")
+#: proper axes (seed/max_packets shape trace synthesis too; a dimension
+#: axis is a column of the result store).
+_RESERVED_PARAMS = ("seed", "max_packets") + tuple(
+    a.name for a in CONFIG_AXES if a.dimension
+)
 
 
 class SweepError(ValueError):
@@ -110,12 +113,10 @@ class SweepCase:
     job: RunJob
     protocol: str
     trace: str
-    workload: str
-    faults: str
-    #: Cache-policy spec (``""`` = the paper's default cache).
-    cache: str
-    #: Membership-churn spec (``""`` = static membership).
-    churn: str
+    #: The :data:`OPTIONAL_AXES` coordinates, name -> store label (an
+    #: axis's spec string, its default when unswept; the fault plan's
+    #: path or inline label).
+    optional: Mapping[str, str]
     seed: int
     max_packets: int | None
     #: Canonical JSON of the SimulationConfig overrides (sorted keys).
@@ -129,10 +130,7 @@ class SweepCase:
         return {
             "protocol": self.protocol,
             "trace": self.trace,
-            "workload": self.workload,
-            "faults": self.faults,
-            "cache": self.cache,
-            "churn": self.churn,
+            **self.optional,
             "seed": self.seed,
             "max_packets": self.max_packets,
             "params": self.params,
@@ -320,10 +318,11 @@ def _compile_point(
         raise SweepError(f"{where}: no protocol (set it in [grid], [defaults], or the case)")
     if trace is None:
         raise SweepError(f"{where}: no trace (set it in [grid], [defaults], or the case)")
-    workload = resolve("workload", "")
     faults_value = resolve("faults", "")
-    cache = resolve("cache", "")
-    churn = resolve("churn", "")
+    swept = {
+        a.name: str(resolve(a.name, a.default) or a.default) for a in GRID_AXES
+    }
+    job_axes, config_axes = split_axes(swept)
     seed = resolve("seed", 0)
     max_packets = resolve("max_packets", DEFAULT_SWEEP_MAX_PACKETS)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -342,7 +341,7 @@ def _compile_point(
 
     try:
         config = SimulationConfig().with_(
-            seed=seed, max_packets=cap, cache=str(cache or ""), **params
+            seed=seed, max_packets=cap, **config_axes, **params
         )
     except (TypeError, ValueError) as exc:
         raise SweepError(f"{where}: bad config params: {exc}") from None
@@ -354,8 +353,7 @@ def _compile_point(
             trace_seed=seed,
             trace_max_packets=cap,
             faults=plan,
-            workload=str(workload),
-            churn=str(churn or ""),
+            **job_axes,
         )
     except ValueError as exc:
         raise SweepError(f"{where}: {exc}") from None
@@ -363,10 +361,7 @@ def _compile_point(
         job=job,
         protocol=str(protocol),
         trace=str(trace),
-        workload=str(workload),
-        faults=faults_label,
-        cache=str(cache or ""),
-        churn=str(churn or ""),
+        optional={**swept, "faults": faults_label},
         seed=seed,
         max_packets=cap,
         params=json.dumps(params, sort_keys=True),

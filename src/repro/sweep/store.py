@@ -31,10 +31,9 @@ Layout::
 Writes are committed per row (WAL journal), so a ``kill -9`` mid-sweep
 leaves a readable store; re-ingesting a row is an idempotent
 ``INSERT OR REPLACE``.  Opening a store written by an older build
-migrates it in place: columns added since (the ``cache``/``churn``
-dimensions, the ``cache_*`` metrics, ``n_receivers``/``churn_rate``)
-are ``ALTER TABLE``-ed on, with NULL/default values for pre-existing
-rows.
+migrates it in place: columns added since (a later optional dimension
+or metric) are ``ALTER TABLE``-ed on, with NULL/default values for
+pre-existing rows.
 """
 
 from __future__ import annotations
@@ -46,20 +45,10 @@ from typing import Any, Iterable, Mapping
 
 from repro.exec.summary import RunSummary
 from repro.metrics.stats import mean
-from repro.sweep.spec import SweepCase, SweepSpec
+from repro.sweep.spec import AXES, OPTIONAL_AXES, SweepCase, SweepSpec
 
 #: Dimension columns (queryable, groupable).
-DIMENSIONS = (
-    "protocol",
-    "trace",
-    "workload",
-    "faults",
-    "cache",
-    "churn",
-    "seed",
-    "max_packets",
-    "params",
-)
+DIMENSIONS = AXES + ("params",)
 
 #: Flattened metric columns (aggregatable).
 METRICS = (
@@ -116,6 +105,10 @@ _FLOAT_COLUMNS = {
     "cache_hit_rate",
     "churn_rate",
 }
+
+#: Column declaration of an optional dimension: a run that pre-dates the
+#: column, or does not sweep it, sits at the axis's default spec ``""``.
+_OPTIONAL_DECL = "TEXT NOT NULL DEFAULT ''"
 
 #: SQL aggregate per user-facing name.
 AGGREGATES = {
@@ -206,6 +199,11 @@ class SweepStore:
                 updated_at REAL NOT NULL
             )"""
         )
+        # Joined to read as the hand-written columns did, so a new store's
+        # DDL text is what older builds wrote.
+        optional_cols = ",\n                ".join(
+            f"{name} {_OPTIONAL_DECL}" for name in OPTIONAL_AXES
+        )
         metric_cols = ",\n".join(
             f"{name} {'REAL' if name in _FLOAT_COLUMNS else 'INTEGER'}"
             for name in METRICS
@@ -216,10 +214,7 @@ class SweepStore:
                 job_key TEXT NOT NULL,
                 protocol TEXT NOT NULL,
                 trace TEXT NOT NULL,
-                workload TEXT NOT NULL DEFAULT '',
-                faults TEXT NOT NULL DEFAULT '',
-                cache TEXT NOT NULL DEFAULT '',
-                churn TEXT NOT NULL DEFAULT '',
+                {optional_cols},
                 seed INTEGER NOT NULL,
                 max_packets INTEGER,
                 params TEXT NOT NULL DEFAULT '{{}}',
@@ -244,20 +239,17 @@ class SweepStore:
         current column set.
 
         ``CREATE TABLE IF NOT EXISTS`` never alters an existing table, so
-        a store written before the ``cache``/``churn`` dimensions or the
-        later metric columns existed would otherwise break every INSERT.
-        Missing columns are added in place: dimensions default to ``''``
-        (pre-existing rows ran the default policy / static membership),
-        metric columns to NULL (the stats were never collected).
+        a store written before an optional dimension or a later metric
+        column existed would otherwise break every INSERT.  Missing
+        columns are added in place: dimensions default to ``''``
+        (pre-existing rows ran the axis's default), metric columns to
+        NULL (the stats were never collected).
         """
         existing = {
             row[1]
             for row in self._conn.execute("PRAGMA table_info(runs)").fetchall()
         }
-        wanted: list[tuple[str, str]] = [
-            ("cache", "TEXT NOT NULL DEFAULT ''"),
-            ("churn", "TEXT NOT NULL DEFAULT ''"),
-        ]
+        wanted = [(name, _OPTIONAL_DECL) for name in OPTIONAL_AXES]
         wanted += [
             (name, "REAL" if name in _FLOAT_COLUMNS else "INTEGER")
             for name in METRICS
@@ -471,7 +463,7 @@ class SweepStore:
         sql = (
             f"SELECT {', '.join(columns)} FROM runs "
             f"WHERE {' AND '.join(clauses)} "
-            f"ORDER BY protocol, trace, workload, faults, cache, seed, params"
+            f"ORDER BY {', '.join(DIMENSIONS)}"
         )
         return columns, self._conn.execute(sql, values).fetchall()
 

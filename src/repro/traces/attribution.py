@@ -38,17 +38,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.net.topology import LinkId, MulticastTree
 from repro.traces.model import LossTrace
-
-#: Ceiling on ``n_nodes * bitset_words`` for the ndarray DP: beyond it the
-#: dense packed-bitset matrix would dominate memory (a 10^5-receiver tree
-#: is ~1.25 GB), while the lazy recursive DP touches only the handful of
-#: nodes a sparse loss pattern intersects.  Both paths are bit-identical.
-_NDARRAY_DP_CEILING = 1 << 22
-
 
 @dataclass(frozen=True)
 class AttributionChoice:
@@ -138,114 +129,6 @@ class Attributor:
         #: enumerator and for external inspection).
         self._clean = {name: clean[i] for i, name in enumerate(names)}
         self._cache: dict[frozenset[str], AttributionChoice] = {}
-        self._init_ndarray_dp()
-
-    def _init_ndarray_dp(self) -> None:
-        """Preallocate the levelized ndarray DP (kernel v2).
-
-        The forward pass runs bottom-up one *depth level* at a time on
-        preallocated arrays: loss patterns classify against packed uint64
-        subtree bitsets in one sweep, per-level weights are ``np.where``
-        selections, and child products accumulate into the parent rows via
-        ``np.multiply.at`` — which applies its operands sequentially in
-        array order, so with each level sorted in Euler-tour (= sibling)
-        order every float multiplication happens in exactly the recursive
-        implementation's order.  Trees beyond :data:`_NDARRAY_DP_CEILING`
-        keep the recursion (see the constant's rationale).
-        """
-        index = self._index
-        n = index.n
-        root = self._root
-        bits_all = index.subtree_bits[root]
-        words = max(1, (bits_all.bit_length() + 63) // 64)
-        self._np_ready = n * words <= _NDARRAY_DP_CEILING
-        if not self._np_ready:
-            return
-        self._np_words_n = words
-        subtree_bits = self._subtree_bits
-        packed = b"".join(
-            subtree_bits[node].to_bytes(words * 8, "little")
-            for node in range(n)
-        )
-        self._np_subtree = np.frombuffer(packed, dtype="<u8").reshape(n, words)
-        self._np_p = np.array(self._p, dtype=np.float64)
-        self._np_forward = 1.0 - self._np_p
-        self._np_clean = np.array(self._clean_by_id, dtype=np.float64)
-        self._np_parent = np.array(index.parent, dtype=np.int64)
-        self._np_leaf = np.array(
-            [not kids for kids in self._children], dtype=bool
-        )
-        # Depth levels, deepest first; BFS emits each level in parent-order
-        # × child-order, i.e. Euler-tour order within the level.
-        levels: list[np.ndarray] = []
-        frontier = list(self._children[root])
-        while frontier:
-            levels.append(np.array(frontier, dtype=np.int64))
-            frontier = [
-                child for node in frontier for child in self._children[node]
-            ]
-        levels.reverse()
-        self._np_levels = levels
-        # Reusable per-query buffers.
-        self._np_land = np.empty((n, words), dtype=np.uint64)
-        self._np_eq = np.empty((n, words), dtype=bool)
-        self._np_local = np.empty(n, dtype=bool)
-        self._np_full = np.empty(n, dtype=bool)
-        self._np_s = np.empty(n, dtype=np.float64)
-        self._np_m = np.empty(n, dtype=np.float64)
-        self._np_acc_s = np.empty(n, dtype=np.float64)
-        self._np_acc_m = np.empty(n, dtype=np.float64)
-
-    def _np_forward_pass(self, pattern: int) -> None:
-        """Fill the per-query buffers for ``pattern`` (a receiver bitset):
-        after this, ``_np_s``/``_np_m`` hold each node's sum/max-product
-        weights and ``_np_acc_s``/``_np_acc_m`` each node's child products
-        (so ``_np_acc_*[root]`` are the total/best over root children)."""
-        words = self._np_words_n
-        pat = np.frombuffer(
-            pattern.to_bytes(words * 8, "little"), dtype="<u8"
-        )
-        subtree = self._np_subtree
-        land = self._np_land
-        np.bitwise_and(subtree, pat[None, :], out=land)
-        np.any(land, axis=1, out=self._np_local)
-        np.equal(land, subtree, out=self._np_eq)
-        np.all(self._np_eq, axis=1, out=self._np_full)
-        s = self._np_s
-        m = self._np_m
-        acc_s = self._np_acc_s
-        acc_m = self._np_acc_m
-        acc_s.fill(1.0)
-        acc_m.fill(1.0)
-        p = self._np_p
-        forward = self._np_forward
-        clean = self._np_clean
-        parent = self._np_parent
-        local = self._np_local
-        full = self._np_full
-        leaf = self._np_leaf
-        for nodes in self._np_levels:
-            pn = p[nodes]
-            fw = forward[nodes]
-            la = local[nodes]
-            fu = full[nodes]
-            lf = leaf[nodes]
-            cl = clean[nodes]
-            prod_s = fw * acc_s[nodes]
-            prod_m = fw * acc_m[nodes]
-            sv = np.where(
-                la, np.where(fu, np.where(lf, pn, pn + prod_s), prod_s), cl
-            )
-            mv = np.where(
-                la,
-                np.where(fu, np.where(lf, pn, np.maximum(pn, prod_m)), prod_m),
-                cl,
-            )
-            s[nodes] = sv
-            m[nodes] = mv
-            par = parent[nodes]
-            np.multiply.at(acc_s, par, sv)
-            np.multiply.at(acc_m, par, mv)
 
     # ------------------------------------------------------------------
     # Core DP (integer kernel)
@@ -296,9 +179,6 @@ class Attributor:
         """Σ p(c) over every combination producing ``pattern``."""
         self._check_pattern(pattern)
         bits = self._index.pattern_bits(pattern)
-        if self._np_ready:
-            self._np_forward_pass(bits)
-            return float(self._np_acc_s[self._root])
         memo: dict[int, tuple[float, float]] = {}
         total = 1.0
         for child in self._children[self._root]:
@@ -318,46 +198,19 @@ class Attributor:
         bits = self._index.pattern_bits(pattern)
         combo: set[LinkId] = set()
         root_children = self._children[self._root]
-        if self._np_ready:
-            self._np_forward_pass(bits)
-            # ``_np_acc_*[root]`` accumulated the root children in sibling
-            # order — the same association order as the explicit loop.
-            total = float(self._np_acc_s[self._root])
-            best = float(self._np_acc_m[self._root])
-            for child in root_children:
-                self._np_traceback(child, combo)
-        else:
-            memo: dict[int, tuple[float, float]] = {}
-            total = 1.0
-            best = 1.0
-            for child in root_children:
-                s, m = self._weights(child, bits, memo)
-                total *= s
-                best *= m
-            for child in root_children:
-                self._traceback(child, bits, memo, combo)
+        memo: dict[int, tuple[float, float]] = {}
+        total = 1.0
+        best = 1.0
+        for child in root_children:
+            s, m = self._weights(child, bits, memo)
+            total *= s
+            best *= m
+        for child in root_children:
+            self._traceback(child, bits, memo, combo)
         posterior = best / total if total > 0.0 else 0.0
         choice = AttributionChoice(frozenset(combo), best, posterior)
         self._cache[pattern] = choice
         return choice
-
-    def _np_traceback(self, node: int, combo: set[LinkId]) -> None:
-        """Array-backed mirror of :meth:`_traceback`: reads the per-node
-        classification and child max-products left by the forward pass."""
-        if not self._np_local[node]:
-            return
-        children = self._children[node]
-        if self._np_full[node]:
-            names = self._index.names
-            if not children:
-                combo.add((names[self._index.parent[node]], names[node]))
-                return
-            p = self._p[node]
-            if p >= (1.0 - p) * float(self._np_acc_m[node]):
-                combo.add((names[self._index.parent[node]], names[node]))
-                return
-        for child in children:
-            self._np_traceback(child, combo)
 
     def _traceback(
         self,
@@ -393,36 +246,10 @@ class Attributor:
         self._check_pattern(pattern)
         bits = self._index.pattern_bits(pattern)
         combo: set[LinkId] = set()
-        if self._np_ready:
-            self._np_forward_pass(bits)
-            for child in self._children[self._root]:
-                self._np_sample_into(child, rng, combo)
-            return frozenset(combo)
         memo: dict[int, tuple[float, float]] = {}
         for child in self._children[self._root]:
             self._sample_into(child, bits, rng, memo, combo)
         return frozenset(combo)
-
-    def _np_sample_into(
-        self, node: int, rng: random.Random, combo: set[LinkId]
-    ) -> None:
-        """Array-backed mirror of :meth:`_sample_into` (identical draw
-        sequence: one ``rng.random()`` per fully-lost internal node, in
-        the same traversal order)."""
-        if not self._np_local[node]:
-            return
-        children = self._children[node]
-        if self._np_full[node]:
-            names = self._index.names
-            if not children:
-                combo.add((names[self._index.parent[node]], names[node]))
-                return
-            p = self._p[node]
-            if rng.random() < p / float(self._np_s[node]):
-                combo.add((names[self._index.parent[node]], names[node]))
-                return
-        for child in children:
-            self._np_sample_into(child, rng, combo)
 
     def _sample_into(
         self,

@@ -169,7 +169,7 @@ class TestDeterminism:
         assert len({j.key() for j in batch}) == len(batch)
         ExecutionEngine(jobs=1, cache=cache).execute(batch)
         entries = cache.entries()
-        assert sorted(e.cache for e in entries) == sorted(
+        assert sorted(e.axes["cache"] for e in entries) == sorted(
             "paper:capacity=16" if s.startswith("paper") else s
             for s in POLICIES
         )
@@ -197,8 +197,8 @@ class TestSweepAxis:
             }
         )
         assert len(spec.cases) == 2
-        assert sorted(c.cache for c in spec.cases) == ["", "lru:capacity=4"]
-        by_cache = {c.cache: c for c in spec.cases}
+        assert sorted(c.axes()["cache"] for c in spec.cases) == ["", "lru:capacity=4"]
+        by_cache = {c.axes()["cache"]: c for c in spec.cases}
         assert by_cache["lru:capacity=4"].job.config.cache == "lru:capacity=4"
         assert by_cache[""].job.config.cache == ""
         assert by_cache[""].axes()["cache"] == ""

@@ -105,7 +105,7 @@ class TestMigration:
         )
         assert cache.get(JOB, FP) == SUMMARY  # same slot, still a hit
         [entry] = cache.entries()
-        assert entry.workload == ""  # missing key decodes to the default
+        assert "workload" not in entry.axes  # missing key decodes to the default
 
     def test_workload_entry_listed_with_spec(self, cache):
         workload_job = RunJob(
@@ -118,7 +118,7 @@ class TestMigration:
         )
         cache.put(workload_job, FP, SUMMARY)
         [entry] = cache.entries()
-        assert entry.workload == "zipf:alpha=1.1"
+        assert entry.axes["workload"] == "zipf:alpha=1.1"
 
     def test_workload_and_default_use_distinct_slots(self, cache):
         workload_job = RunJob(
@@ -135,6 +135,31 @@ class TestMigration:
         assert cache.get(workload_job, FP) == {"other": 1}
 
 
+class TestListing:
+    def test_jobs_differing_only_in_kernel_list_differently(
+        self, cache, capsys
+    ):
+        from repro.harness.cli import main
+
+        vector = RunJob(
+            "WRN951113", "cesrm", CFG.with_(kernel="vector"),
+            trace_seed=0, trace_max_packets=200,
+        )
+        assert JOB.describe() != vector.describe()
+        cache.put(JOB, FP, SUMMARY)
+        cache.put(vector, FP, SUMMARY)
+        by_key = {entry.key: dict(entry.axes) for entry in cache.entries()}
+        assert by_key == {JOB.key(): {}, vector.key(): {"kernel": "vector"}}
+        assert main(["cache", "--cache-dir", str(cache.directory)]) == 0
+        listed = [
+            line.split("(")[0]  # drop the entry size
+            for line in capsys.readouterr().out.splitlines()
+            if "WRN951113" in line
+        ]
+        assert len(set(listed)) == 2
+        assert sum("kernel=vector" in line for line in listed) == 1
+
+
 class TestMaintenance:
     def test_entries_listing(self, cache):
         cache.put(JOB, FP, SUMMARY)
@@ -145,7 +170,7 @@ class TestMaintenance:
         assert entry.max_packets == 200
         assert entry.fingerprint == FP
         assert entry.size_bytes > 0
-        assert entry.workload == ""
+        assert "workload" not in entry.axes
 
     def test_size_bytes(self, cache):
         assert cache.size_bytes() == 0

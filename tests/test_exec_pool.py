@@ -1,6 +1,8 @@
 """Determinism of the execution engine: parallel == serial, warm == cold,
 and cache entries invalidate on config or source change."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.exec import pool as pool_mod
@@ -110,3 +112,99 @@ class TestEngineBatching:
     def test_memoization_preserved(self):
         ctx = ExperimentContext(max_packets=TINY)
         assert ctx.run(TRACES[0], "srm") is ctx.run(TRACES[0], "srm")
+
+
+def _jobs(n=3):
+    config = SimulationConfig(seed=0, max_packets=120)
+    return [
+        RunJob("WRN950919", "srm", config.with_(seed=seed), seed, 120)
+        for seed in range(n)
+    ]
+
+
+class TestExecuteCollectsTheStream:
+    """``execute`` is an ordered, fail-fast collector over
+    ``map_unordered``; these pin what its own loops used to guarantee."""
+
+    def test_stats_cold_then_warm(self, tmp_path):
+        jobs = _jobs()
+        cold = ExecutionEngine(cache=RunCache(tmp_path / "cache"))
+        cold.execute(jobs + jobs[:1])  # a duplicate runs once
+        assert (cold.stats.executed, cold.stats.cache_misses) == (3, 3)
+        assert (cold.stats.cache_hits, cold.stats.executed_parallel) == (0, 0)
+        warm = ExecutionEngine(cache=RunCache(tmp_path / "cache"))
+        warm.execute(jobs)
+        assert (warm.stats.executed, warm.stats.cache_hits) == (0, 3)
+
+    def test_finished_runs_are_checkpointed_before_a_later_failure(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = _jobs()
+        real = pool_mod.execute_job
+        boom = OSError("disk on fire")
+
+        def second_fails(job):  # resolved through pool_mod at call time
+            if job == jobs[1]:
+                raise boom
+            return real(job)
+
+        monkeypatch.setattr(pool_mod, "execute_job", second_fails)
+        cache = RunCache(tmp_path / "cache")
+        engine = ExecutionEngine(cache=cache)
+        with pytest.raises(OSError) as caught:
+            engine.execute(jobs)
+        assert caught.value is boom  # the exception itself, not a copy
+        assert engine.stats.executed == 1  # fail-fast: jobs[2] never ran
+        assert [e.key for e in cache.entries()] == [jobs[0].key()]
+
+    def test_local_executor_runs_the_serial_path(self):
+        jobs = _jobs(2)
+        seen = []
+
+        def local(job):
+            seen.append(job)
+            return pool_mod.execute_job(job)
+
+        results = ExecutionEngine().execute(jobs, local_executor=local)
+        assert seen == jobs
+        assert [r.config.seed for r in results] == [0, 1]
+
+    def test_worker_failure_names_the_job(self, monkeypatch):
+        """A failure inside a pool worker crosses the boundary as text:
+        the raise carries the job's label and the recorded error."""
+        config = SimulationConfig(seed=0, max_packets=120)
+        jobs = [
+            RunJob("WRN950919", protocol, config, 0, 120)
+            for protocol in ("srm", "cesrm")
+        ]
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", ThreadPoolExecutor)
+        real_chunk = pool_mod._execute_chunk
+
+        def chunk(payloads):
+            if payloads == [jobs[1].to_dict()]:
+                raise OSError("worker lost")
+            return real_chunk(payloads)
+
+        monkeypatch.setattr(pool_mod, "_execute_chunk", chunk)
+        engine = ExecutionEngine(jobs=2)
+        with pytest.raises(RuntimeError) as caught:
+            engine.execute(jobs)
+        assert str(caught.value).startswith("cesrm/WRN950919 failed")
+        assert "worker lost" in str(caught.value)
+
+    def test_parallel_stats_and_progress_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", ThreadPoolExecutor)
+        jobs = _jobs()
+        cache = RunCache(tmp_path / "cache")
+        ExecutionEngine(cache=cache).execute(jobs[:1])
+        lines = []
+        engine = ExecutionEngine(jobs=2, cache=cache, progress=lines.append)
+        engine.execute(jobs)
+        assert engine.stats.executed == engine.stats.executed_parallel == 2
+        assert lines[0] == "[exec] 2 job(s) to run, 1 cached"
+        assert [line.split(" (")[0] for line in lines[1:]] == [
+            "[exec] 1/2 done", "[exec] 2/2 done"
+        ]
+        assert {line.split(" (")[1] for line in lines[1:]} == {
+            job.describe() + ")" for job in jobs[1:]
+        }

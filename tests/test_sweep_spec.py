@@ -170,7 +170,7 @@ class TestFaults:
             'faults = "plan.json"\n'
         )
         spec = load_sweep(spec_path)
-        assert spec.cases[0].faults == "plan.json"
+        assert spec.cases[0].axes()["faults"] == "plan.json"
         assert not spec.cases[0].job.faults.empty
 
     def test_inline_plan(self):
@@ -186,7 +186,7 @@ class TestFaults:
                 ]
             }
         )
-        assert spec.cases[0].faults.startswith("inline:")
+        assert spec.cases[0].axes()["faults"].startswith("inline:")
         assert not spec.cases[0].job.faults.empty
 
     def test_missing_plan_file_rejected(self, tmp_path):

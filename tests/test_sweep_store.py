@@ -214,6 +214,35 @@ class TestRender:
         assert "grouped by protocol, seed" in text
 
 
+class TestOptionalDimensions:
+    """The store and the report treat every optional dimension alike."""
+
+    POINT = {"protocol": ["cesrm"], "trace": ["WRN950919"]}
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("cache", ["lru:capacity=1", "unbounded"]),
+            ("churn", ["", "churn:rate=0.5"]),
+        ],
+    )
+    def test_report_groups_by_every_varying_dimension(
+        self, store, summary, axis, values
+    ):
+        spec = compile_sweep({"grid": {**self.POINT, axis: values}})
+        text = render_sweep_report(store, _fill(store, spec, summary), "table")
+        assert f"grouped by {axis} " in text
+        body = text.splitlines()[5:]
+        assert [line.split()[-1] for line in body] == ["1", "1"]  # n per row
+
+    def test_rows_are_ordered_by_churn_too(self, store, summary):
+        specs = ["churn:rate=0.9", "", "churn:rate=0.5"]
+        spec = compile_sweep({"grid": {**self.POINT, "churn": specs}})
+        columns, rows = store.rows(_fill(store, spec, summary))
+        at = columns.index("churn")
+        assert [row[at] for row in rows] == sorted(specs)
+
+
 class TestDefaultPath:
     def test_rides_next_to_cache(self, tmp_path):
         assert default_store_path(tmp_path) == tmp_path / "sweeps.sqlite"
