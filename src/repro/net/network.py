@@ -32,6 +32,16 @@ endpoint names and :class:`LinkState`, unicast walks a precomputed integer
 path, and arrivals go through the engine's raw no-``Event`` scheduling
 path.  The observable contract is unchanged: loss hooks, fault-injector
 hop rules, and trace events all still see string node ids.
+
+An engine entry may stand for several same-instant arrivals on either
+kernel.  Here a flood schedules one entry per *sibling run* — consecutive
+hops out of one node that land on the same instant (:meth:`Network
+._flood_arrival`) — and reports the rest through :meth:`Simulator
+.coalesced <repro.sim.engine.Simulator.coalesced>`, the accounting the
+vector kernel's waves use, so ``events_processed`` still counts arrivals
+while a profiler's per-handler counts (the layered benchmark's
+``net.events``) count entries.  Unicast and subcast hops stay one entry
+each, through :meth:`Network._transmit`.
 """
 
 from __future__ import annotations
@@ -61,21 +71,15 @@ _CAST_INDEX = {cast: i for i, cast in enumerate(_CASTS)}
 _MULTICAST_COL = _CAST_INDEX[Cast.MULTICAST]
 _UNICAST_COL = _CAST_INDEX[Cast.UNICAST]
 _SUBCAST_COL = _CAST_INDEX[Cast.SUBCAST]
-#: slot -> (kind row, cast column) and snapshot key, precomputed.
-_SLOT_ROW = tuple(slot // _N_CAST for slot in range(_N_SLOTS))
-_SLOT_COL = tuple(slot % _N_CAST for slot in range(_N_SLOTS))
+#: slot -> snapshot key, precomputed.
 _SLOT_KEYS = tuple(
     (kind.value, cast.value) for kind in _KINDS for cast in _CASTS
 )
 #: Kind rows whose crossings feed the Figure 5b overhead categories.
-_RETRANSMISSION_ROWS = tuple(
-    _KIND_INDEX[k] for k in _KINDS if k.is_retransmission
-)
-_RECOVERY_CONTROL_ROWS = tuple(
-    _KIND_INDEX[k] for k in _KINDS if k.is_recovery_control
-)
+_RETRANSMISSION_KINDS = tuple(k for k in _KINDS if k.is_retransmission)
+_RECOVERY_CONTROL_KINDS = tuple(k for k in _KINDS if k.is_recovery_control)
 _UNICAST_CONTROL_SLOTS = tuple(
-    row * _N_CAST + _UNICAST_COL for row in _RECOVERY_CONTROL_ROWS
+    _KIND_INDEX[k] * _N_CAST + _UNICAST_COL for k in _RECOVERY_CONTROL_KINDS
 )
 
 #: Directed hops are keyed ``u << _HOP_SHIFT | v`` — a fixed-stride int
@@ -83,6 +87,9 @@ _UNICAST_CONTROL_SLOTS = tuple(
 #: ``u * n + v`` keying broke the moment ``n`` grew).  2^21 node ids is
 #: comfortably above the topology registry's receiver cap.
 _HOP_SHIFT = 21
+
+#: Earlier than any arrival: "no sibling run is open".
+_NEVER = float("-inf")
 
 
 class Agent(Protocol):
@@ -95,22 +102,18 @@ class Agent(Protocol):
 class CrossingCounter:
     """Counts link crossings per ``(kind, cast)`` — 1 unit per link (§4.4).
 
-    Counts live in flat lists indexed by a dense ``(kind, cast)`` slot;
-    running per-kind and per-cast totals are maintained in :meth:`record` /
-    :meth:`record_slot`, so :meth:`by_kind` / :meth:`by_cast` /
-    :meth:`total` are O(1) lookups instead of scans over the distinct-key
-    set.  The network resolves a packet's slot once per send primitive and
-    calls :meth:`record_slot` per hop; :meth:`record` is the enum-keyed
-    convenience path for external callers.
+    Counts live in one flat list indexed by a dense ``(kind, cast)`` slot:
+    a crossing is one list write.  The network resolves a packet's slot
+    once per send primitive and counts per hop with :meth:`record_slot`
+    (or its inline); :meth:`record` is the enum-keyed convenience path for
+    external callers.  The per-kind / per-cast / grand totals are read a
+    handful of times per run and summed over the slots then.
     """
 
-    __slots__ = ("_slots", "_kind_counts", "_cast_counts", "_total")
+    __slots__ = ("_slots",)
 
     def __init__(self) -> None:
         self._slots = [0] * _N_SLOTS
-        self._kind_counts = [0] * len(_KINDS)
-        self._cast_counts = [0] * _N_CAST
-        self._total = 0
 
     @staticmethod
     def slot_of(kind: PacketKind, cast: Cast) -> int:
@@ -124,18 +127,16 @@ class CrossingCounter:
 
     def record_slot(self, slot: int) -> None:
         self._slots[slot] += 1
-        self._kind_counts[_SLOT_ROW[slot]] += 1
-        self._cast_counts[_SLOT_COL[slot]] += 1
-        self._total += 1
 
     def total(self) -> int:
-        return self._total
+        return sum(self._slots)
 
     def by_kind(self, kind: PacketKind) -> int:
-        return self._kind_counts[_KIND_INDEX[kind]]
+        row = _KIND_INDEX[kind] * _N_CAST
+        return sum(self._slots[row : row + _N_CAST])
 
     def by_cast(self, cast: Cast) -> int:
-        return self._cast_counts[_CAST_INDEX[cast]]
+        return sum(self._slots[_CAST_INDEX[cast] :: _N_CAST])
 
     def get(self, kind: PacketKind, cast: Cast) -> int:
         return self._slots[_KIND_INDEX[kind] * _N_CAST + _CAST_INDEX[cast]]
@@ -143,15 +144,13 @@ class CrossingCounter:
     @property
     def retransmission_crossings(self) -> int:
         """Link crossings by repair replies (payload-carrying)."""
-        kind_counts = self._kind_counts
-        return sum(kind_counts[row] for row in _RETRANSMISSION_ROWS)
+        return sum(self.by_kind(kind) for kind in _RETRANSMISSION_KINDS)
 
     @property
     def multicast_control_crossings(self) -> int:
         """Link crossings by multicast repair requests."""
-        kind_counts = self._kind_counts
         return (
-            sum(kind_counts[row] for row in _RECOVERY_CONTROL_ROWS)
+            sum(self.by_kind(kind) for kind in _RECOVERY_CONTROL_KINDS)
             - self.unicast_control_crossings
         )
 
@@ -213,6 +212,10 @@ class Network:
         #: Unicasts addressed to them — or crossing their removed links
         #: mid-flight — die like any other loss instead of erroring.
         self._detached_ids: set[int] = set()
+        #: Fired flood entries and the arrivals they stood for (see
+        #: :meth:`kernel_stats`; python kernel only).
+        self._flood_entries = 0
+        self._flood_arrivals = 0
 
         index = tree.index
         self._index = index
@@ -422,15 +425,27 @@ class Network:
         return link
 
     def kernel_stats(self) -> dict[str, int]:
-        """Always-on forwarding-kernel counters: under ``kernel="vector"``
-        the fired wave entries by executor (``loop_waves``,
-        ``numpy_waves``, ``hooked_waves``) and the deliveries by path —
-        ``column_deliveries`` counted in a reception-column row,
-        ``scalar_deliveries`` handed to ``agent.receive``; the two sum to
-        ``packets_delivered``.  Empty under the python kernel, which has
-        neither waves nor columns.  Not part of any run summary."""
+        """Always-on forwarding-kernel counters; not part of any run
+        summary.  Either kernel may deliver several same-instant arrivals
+        of a flood from one engine entry, and these say how often.
+
+        Under ``kernel="python"``: ``entries`` — flood entries fired, each
+        a sibling run — and ``arrivals``, the hop arrivals they stood for
+        (what the per-hop kernel fired one entry each for, and what
+        ``Simulator.events_processed`` still counts); ``arrivals /
+        entries`` is the mean run length.  Unicast and subcast hops are
+        one entry each and not counted here.
+
+        Under ``kernel="vector"``: the fired wave entries by executor
+        (``loop_waves``, ``numpy_waves``, ``hooked_waves``) and the
+        deliveries by path — ``column_deliveries`` counted in a
+        reception-column row, ``scalar_deliveries`` handed to
+        ``agent.receive``; the two sum to ``packets_delivered``."""
         if self._vk is None:
-            return {}
+            return {
+                "entries": self._flood_entries,
+                "arrivals": self._flood_arrivals,
+            }
         on_column = self._columns.deliveries
         return {
             **self._vk.stats(),
@@ -463,7 +478,7 @@ class Network:
         if self._vk is not None:
             self._vk.flood_from(self._ids[packet.origin], packet, slot)
         else:
-            self._flood(self._ids[packet.origin], -1, packet, slot)
+            self._flood_arrival((self._ids[packet.origin],), -1, packet, slot, False)
         return packet
 
     def unicast(self, dest: str, packet: Packet) -> Packet:
@@ -517,33 +532,125 @@ class Network:
     # ------------------------------------------------------------------
     # Internals (integer kernel)
     # ------------------------------------------------------------------
-    def _flood(self, node: int, from_node: int, packet: Packet, slot: int) -> None:
-        for record in self._adj[node]:
-            to = record[0]
-            if to != from_node:
-                self._transmit(
-                    record, packet, slot, self._flood_arrival, (to, node, packet, slot)
-                )
-
     def _flood_arrival(
-        self, node: int, from_node: int, packet: Packet, slot: int
+        self,
+        nodes: list[int] | tuple[int, ...],
+        from_node: int,
+        packet: Packet,
+        slot: int,
+        arrived: bool = True,
     ) -> None:
-        agent = self._agents_by_id[node]
-        if agent is not None:
-            # A flood never revisits its origin (acyclic tree + the
-            # arrival-link exclusion), so no origin check is needed here.
-            # Inline of _deliver (one call per delivery saved).
-            self.packets_delivered += 1
-            if self.sim.tracer is not None:
-                self._trace_deliver(node, packet)
-            agent.receive(packet)
-        # Inline of _flood (one call per arrival saved on the hottest path).
-        for record in self._adj[node]:
-            to = record[0]
-            if to != from_node:
-                self._transmit(
-                    record, packet, slot, self._flood_arrival, (to, node, packet, slot)
-                )
+        """One engine entry of a flood: ``packet`` reaches every node of
+        ``nodes`` — a *sibling run*, consecutive hops out of ``from_node``
+        that land on this same instant — is delivered to each in hop order
+        and forwarded on from it.  ``multicast`` calls it directly for the
+        sending host (``arrived=False``: nothing is delivered or counted).
+
+        Each outgoing hop is crossed exactly as :meth:`_transmit` would
+        (same hop, hook and float-op order; the per-edge step is inlined),
+        but a hop landing on the instant of the hop before it joins that
+        hop's entry instead of scheduling its own.  The entries it joins
+        would have sat next to it in the instant's bucket anyway — no
+        agent code runs inside a forwarding loop, so nothing can be
+        scheduled between them — which makes the grouping exact; see
+        docs/performance.md ("Sibling runs and session rows").
+        """
+        sim = self.sim
+        if arrived:
+            extra = len(nodes) - 1
+            self._flood_entries += 1
+            self._flood_arrivals += extra + 1
+            if extra:
+                sim.coalesced(extra)
+        now = sim._now
+        agents = self._agents_by_id
+        adj = self._adj
+        buckets = sim._buckets
+        slots = self.crossings._slots
+        size = packet.size_bytes
+        arrival_entry = self._flood_arrival
+        for node in nodes:
+            if arrived:
+                # Looked up now, not when the hop was crossed: the host may
+                # have left or been re-attached while the packet was in flight.
+                agent = agents[node]
+                if agent is not None:
+                    # A flood never revisits its origin (acyclic tree + the
+                    # arrival-link exclusion), so no origin check is needed.
+                    self.packets_delivered += 1
+                    if sim.tracer is not None:
+                        self._trace_deliver(node, packet)
+                    agent.receive(packet)
+            # Re-read after the delivery: between here and the end of this
+            # node's hops only the hooks themselves run.
+            tracer = sim.tracer
+            drop_fn = self.drop_fn
+            faults = self.faults
+            hooked = (
+                drop_fn is not None or faults is not None or tracer is not None
+            )
+            run: list[int] = []
+            run_at = _NEVER
+            for to, u, v, link in adj[node]:
+                if to == from_node:
+                    continue
+                slots[slot] += 1  # crossings count before loss
+                copies = 1
+                extra_delay = 0.0
+                if hooked:
+                    if drop_fn is not None and drop_fn(u, v, packet):
+                        self._record_drop(u, v, packet, tracer)
+                        continue
+                    if faults is not None and (
+                        faults._down
+                        or not faults._rules_data_only
+                        or packet.kind is _DATA_KIND
+                    ):
+                        # (see _transmit for when on_hop can be skipped)
+                        effect = faults.on_hop(u, v, packet)
+                        if effect is not None:
+                            if effect.drop:
+                                self._record_drop(u, v, packet, tracer)
+                                continue
+                            if effect.duplicate:
+                                copies = 2
+                            extra_delay = effect.extra_delay
+                    if tracer is not None:
+                        self._trace_hop(u, v, link.busy_until, packet, tracer)
+                while True:
+                    # Inline of LinkState.enqueue, float-op order kept.
+                    # Skipped where it is a no-op: an idle link adds +0.0
+                    # to its queueing total, a 0-byte packet no time.
+                    start = link.busy_until
+                    if start > now:
+                        link.queueing_delay_total += start - now
+                    else:
+                        start = now
+                    if size > 0:
+                        start += size * 8.0 / link.bandwidth_bps
+                        link.bytes_carried += size
+                    link.busy_until = start
+                    link.packets_carried += 1
+                    arrival = start + link.propagation_delay + extra_delay
+                    if arrival == run_at:
+                        run.append(to)
+                    else:
+                        # The first hop, or one a busy link or a fault's
+                        # delay put on another instant: a new run.
+                        run = [to]
+                        run_at = arrival
+                        entry = (arrival_entry, (run, node, packet, slot))
+                        bucket = buckets.get(arrival)
+                        if bucket is not None:
+                            bucket.append(entry)
+                        else:
+                            sim.schedule_raw(arrival, *entry)
+                    if copies == 1:
+                        break
+                    # The duplicate serialises behind the original on the
+                    # same link and floods on like it.
+                    copies = 1
+                    slots[slot] += 1
 
     def _subcast_from(
         self, router: int, packet: Packet, origin: int, slot: int
@@ -628,13 +735,12 @@ class Network:
         on_arrival: Callable[..., None],
         args: tuple[Any, ...],
     ) -> None:
+        """Cross one directed hop of a unicast or subcast and schedule
+        ``on_arrival(*args)`` at its far end: the per-edge step — count,
+        ``drop_fn``, fault rules, trace events, link — written plainly.
+        :meth:`_flood_arrival` carries the same step inline."""
         _, u, v, link = record
-        # Inline of CrossingCounter.record_slot (same module, hottest line).
-        crossings = self.crossings
-        crossings._slots[slot] += 1
-        crossings._kind_counts[_SLOT_ROW[slot]] += 1
-        crossings._cast_counts[_SLOT_COL[slot]] += 1
-        crossings._total += 1
+        self.crossings._slots[slot] += 1  # crossings count before loss
         sim = self.sim
         tracer = sim.tracer
         if self.drop_fn is not None and self.drop_fn(u, v, packet):
@@ -660,61 +766,43 @@ class Network:
                 extra_delay = effect.extra_delay
         now = sim._now
         if tracer is not None:
-            wait = link.busy_until - now
-            tracer.emit(
-                now,
-                EventKind.NET_HOP,
-                node=v,
-                source=packet.source,
-                seqno=packet.seqno,
-                pkt=packet.kind.value,
-                cast=packet.cast.value,
-                link=f"{u}->{v}",
-            )
-            if wait > 0:
-                tracer.emit(
-                    now,
-                    EventKind.NET_QUEUE,
-                    node=v,
-                    source=packet.source,
-                    seqno=packet.seqno,
-                    link=f"{u}->{v}",
-                    wait=wait,
-                )
-                tracer.observe("net.queueing_delay", wait)
-        # Inline of LinkState.enqueue — identical float-op order, minus the
-        # method-call overhead on the hottest line in the simulator.  The
-        # 0-byte control branch skips the arithmetic that is a no-op there
-        # (``tx == 0.0`` leaves ``end == start``; ``bytes += 0`` is inert).
-        busy = link.busy_until
-        start = busy if busy > now else now
-        size = packet.size_bytes
-        link.queueing_delay_total += start - now
-        if size > 0:
-            end = start + size * 8.0 / link.bandwidth_bps
-            link.bytes_carried += size
-        else:
-            end = start
-        link.busy_until = end
-        link.packets_carried += 1
-        arrival = end + link.propagation_delay + extra_delay
-        # Inline of schedule_raw's bucket-hit fast path.  Safe to skip the
-        # past-check: a pending bucket's timestamp is always >= sim._now
-        # (earlier buckets would already have been drained), so an existing
-        # bucket at ``arrival`` proves the time is legal.  Sibling hops of
-        # a flood share arrival instants constantly, so the hit rate is
-        # high on exactly the hottest path.
-        bucket = sim._buckets.get(arrival)
-        if bucket is not None:
-            bucket.append((on_arrival, args))
-        else:
-            sim.schedule_raw(arrival, on_arrival, args)
+            self._trace_hop(u, v, link.busy_until, packet, tracer)
+        arrival = link.enqueue(now, packet.size_bytes) + extra_delay
+        sim.schedule_raw(arrival, on_arrival, args)
         if duplicate:
             # The copy serializes behind the original on the same link and
             # continues with the same forwarding behaviour downstream.
-            crossings.record_slot(slot)
-            dup_arrival = link.enqueue(now, packet.size_bytes)
-            sim.schedule_raw(dup_arrival + extra_delay, on_arrival, args)
+            self.crossings._slots[slot] += 1
+            arrival = link.enqueue(now, packet.size_bytes) + extra_delay
+            sim.schedule_raw(arrival, on_arrival, args)
+
+    def _trace_hop(
+        self, u: str, v: str, busy_until: float, packet: Packet, tracer
+    ) -> None:
+        """The trace events of one crossing, before the link admits it."""
+        now = self.sim._now
+        wait = busy_until - now
+        tracer.emit(
+            now,
+            EventKind.NET_HOP,
+            node=v,
+            source=packet.source,
+            seqno=packet.seqno,
+            pkt=packet.kind.value,
+            cast=packet.cast.value,
+            link=f"{u}->{v}",
+        )
+        if wait > 0:
+            tracer.emit(
+                now,
+                EventKind.NET_QUEUE,
+                node=v,
+                source=packet.source,
+                seqno=packet.seqno,
+                link=f"{u}->{v}",
+                wait=wait,
+            )
+            tracer.observe("net.queueing_delay", wait)
 
     def _record_drop(self, u: str, v: str, packet: Packet, tracer) -> None:
         self.packets_dropped += 1

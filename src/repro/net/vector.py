@@ -87,13 +87,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.net.network import (
-    _DATA_KIND,
-    _HOP_SHIFT,
-    _SLOT_COL,
-    _SLOT_ROW,
-)
-from repro.obs.events import EventKind
+from repro.net.network import _DATA_KIND, _HOP_SHIFT
 
 #: Frontier size at which a wave moves from the python loop to numpy.
 #: Measured, not configured: in a sweep over 0…100 000 on the bench's two
@@ -353,29 +347,7 @@ class VectorKernel:
                     copies = 2
                 extra_delay = effect.extra_delay
         if tracer is not None:
-            now = self.sim._now
-            wait = self._busy[eid] - now
-            tracer.emit(
-                now,
-                EventKind.NET_HOP,
-                node=v,
-                source=packet.source,
-                seqno=packet.seqno,
-                pkt=packet.kind.value,
-                cast=packet.cast.value,
-                link=f"{u}->{v}",
-            )
-            if wait > 0:
-                tracer.emit(
-                    now,
-                    EventKind.NET_QUEUE,
-                    node=v,
-                    source=packet.source,
-                    seqno=packet.seqno,
-                    link=f"{u}->{v}",
-                    wait=wait,
-                )
-                tracer.observe("net.queueing_delay", wait)
+            net._trace_hop(u, v, self._busy[eid], packet, tracer)
         return copies, extra_delay
 
     # ------------------------------------------------------------------
@@ -470,7 +442,7 @@ class VectorKernel:
         if deliver:
             # One engine event stands in for len(wave) python-kernel
             # arrivals.
-            self.sim._events_processed += len(to_ids) - 1
+            self.sim.coalesced(len(to_ids) - 1)
             if hooked:
                 self.hooked_waves += 1
             elif on_loop:
@@ -585,8 +557,8 @@ class VectorKernel:
                     dropped += 1
                     continue
                 while True:
-                    # Float-op order identical to the inline enqueue in
-                    # Network._transmit (all links share one bandwidth).
+                    # Float-op order identical to LinkState.enqueue (all
+                    # links share one bandwidth).
                     start = busy[eid]
                     if start > now:
                         qd[eid] += start - now
@@ -612,11 +584,7 @@ class VectorKernel:
                     # same link, exactly like LinkState.enqueue would.
                     copies = 1
                     crossed += 1
-        crossings = net.crossings
-        crossings._slots[slot] += crossed
-        crossings._kind_counts[_SLOT_ROW[slot]] += crossed
-        crossings._cast_counts[_SLOT_COL[slot]] += crossed
-        crossings._total += crossed
+        net.crossings._slots[slot] += crossed
         net.packets_dropped += dropped
         return groups
 
@@ -660,11 +628,7 @@ class VectorKernel:
             return {}
         # Crossings count before loss, exactly like Network._transmit.
         net = self.net
-        crossings = net.crossings
-        crossings._slots[slot] += n_hops
-        crossings._kind_counts[_SLOT_ROW[slot]] += n_hops
-        crossings._cast_counts[_SLOT_COL[slot]] += n_hops
-        crossings._total += n_hops
+        net.crossings._slots[slot] += n_hops
         # Deterministic trace losses (§4.3), batched.
         if drops is not None:
             dropped = np.isin(hop_edge, drops[1])
@@ -678,8 +642,8 @@ class VectorKernel:
                 hop_edge = hop_edge[keep]
                 if not len(hop_edge):
                     return {}
-        # Link math — float-op order identical to the inline enqueue in
-        # Network._transmit (all links share bandwidth, so tx is scalar).
+        # Link math — float-op order identical to LinkState.enqueue (all
+        # links share bandwidth, so tx is scalar).
         now = self.sim._now
         start = np.maximum(self._busy_np[hop_edge], now)
         self._qd_np[hop_edge] += start - now

@@ -97,6 +97,20 @@ class Simulator:
         """Number of events fired so far (cancelled events excluded)."""
         return self._events_processed
 
+    def coalesced(self, extra: int) -> None:
+        """The entry now firing stands in for ``extra`` further events.
+
+        A forwarding kernel that delivers several same-instant packet
+        arrivals from one queue entry calls this from inside the entry, so
+        :attr:`events_processed` (and an attached profiler's event count)
+        reads as if each arrival had fired on its own.  What the engine
+        *steps* by stays the entry: ``step()``, ``max_events``, ``stop()``
+        and ``clear()`` act between entries, never inside one.
+        """
+        self._events_processed += extra
+        if self.profiler is not None:
+            self.profiler.events += extra
+
     @property
     def pending_events(self) -> int:
         """Number of events still queued, excluding lazily-cancelled ones."""

@@ -172,7 +172,7 @@ class SrmAgent:
         #: reports are swallowed before they reach the wire.
         self.session_muted = False
         self.sessions_suppressed = 0
-        self.distances = DistanceEstimator(host_id)
+        self.distances = DistanceEstimator(host_id, network.tree.index.ids[host_id])
         self._sources: dict[str, SourceState] = {}
         self._session_timer = PeriodicTimer(sim, session_period, self._send_session)
 
@@ -314,7 +314,45 @@ class SrmAgent:
         if kind is _DATA:
             self._on_data(packet)
         elif kind is _SESSION:
-            self._on_session(packet)
+            report: SessionReport = packet.payload
+            now = self.sim._now
+            # Inline of DistanceEstimator.on_session: with 160 members this
+            # branch is 94 % of a run's deliveries and nothing else.
+            distances = self.distances
+            heard = distances._heard
+            if heard is None:
+                heard = distances._heard = ([], [])
+            sent_at, received_at = heard
+            row = report.row
+            try:
+                sent_at[row] = report.sent_at
+            except IndexError:
+                grow = (-1.0,) * (row + 1 - len(sent_at))
+                sent_at.extend(grow)
+                received_at.extend(grow)
+                sent_at[row] = report.sent_at
+            received_at[row] = now
+            me = distances._row
+            try:
+                t1 = report.echo_sent_at[me]
+            except IndexError:
+                t1 = -1.0
+            if t1 >= 0:
+                rtt = (now - t1) - (report.sent_at - report.echo_received_at[me])
+                if rtt >= 0:
+                    distances._estimates[report.sender] = rtt / 2.0
+                    distances.updates += 1
+            # Secondary loss detection: the sender's highest seqno per source.
+            host_id = self.host_id
+            sources = self._sources
+            for src, reported in report.max_seqs.items():
+                if src == host_id:
+                    continue
+                state = sources.get(src)
+                if state is None:
+                    state = self._materialise(src)
+                if reported > state.stream.max_seq:
+                    self._advance_stream(src, reported)
         elif kind is _RQST:
             self._on_request(packet)
         elif kind is _ERQST:
@@ -660,36 +698,16 @@ class SrmAgent:
             for src, state in self._sources.items()
             if state.stream.max_seq >= 0
         }
-        report = SessionReport(
-            sender=self.host_id,
-            sent_at=now,
-            max_seqs=max_seqs,
-            echoes=self.distances.build_echoes(now),
-        )
         packet = Packet(
             kind=PacketKind.SESSION,
             origin=self.host_id,
             source=self.host_id,
             seqno=-1,
             size_bytes=CONTROL_BYTES,
-            payload=report,
+            payload=self.distances.report(now, max_seqs),
         )
         self.metrics.on_send(self.host_id, packet)
         self.net.multicast(packet)
-
-    def _on_session(self, packet: Packet) -> None:
-        report: SessionReport = packet.payload
-        self.distances.on_session(report, self.sim._now)
-        host_id = self.host_id
-        sources = self._sources
-        for src, reported in report.max_seqs.items():
-            if src == host_id:
-                continue
-            state = sources.get(src)
-            if state is None:
-                state = self._materialise(src)
-            if reported > state.stream.max_seq:
-                self._advance_stream(src, reported)
 
     # ------------------------------------------------------------------
     # Expedited recovery interface (CESRM overrides these)

@@ -21,24 +21,31 @@ the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionReport:
-    """The payload of a session message."""
+    """The payload of a session message.
+
+    The timestamp echoes travel as a *columnar echo block*: the sender's
+    two rows of what it has heard (see :class:`DistanceEstimator`), copied
+    when the report was sent and indexed by peer row.  For the peer whose
+    row is ``r``, ``echo_sent_at[r]`` is the send timestamp ``t1`` of the
+    last report the sender heard from it (negative: never heard) and
+    ``echo_received_at[r]`` when that report arrived; the hold time is
+    ``Δ = sent_at - echo_received_at[r]``.  A block is as long as the
+    sender's rows were — a peer that joined since lies past its end.
+    """
 
     sender: str
+    #: The sender's own row in every listener's rows.
+    row: int
     sent_at: float
     #: source -> highest sequence number observed from that source.
     max_seqs: dict[str, int]
-    #: peer -> (peer's last session send-timestamp, delay held at sender).
-    echoes: dict[str, tuple[float, float]]
-
-
-@dataclass(slots=True)
-class _PeerRecord:
-    last_sent_at: float = -1.0
-    received_at: float = -1.0
+    echo_sent_at: Sequence[float]
+    echo_received_at: Sequence[float]
 
 
 class TreeDistanceOracle:
@@ -77,12 +84,22 @@ class TreeDistanceOracle:
 
 
 class DistanceEstimator:
-    """Tracks one-way distance estimates to every peer via session echoes."""
+    """Tracks one-way distance estimates to every peer via session echoes.
 
-    def __init__(self, host_id: str) -> None:
+    ``row`` is this host's index in the run's peer index — any dense
+    ``name -> int`` numbering that appends on join and never reuses a
+    number (the harness uses the topology's node ids).  What the host has
+    heard is two float rows over that index, ``last_sent_at`` and
+    ``received_at`` per peer, created by the first report it hears: a run
+    without session exchange (``prime_distances``) allocates none.
+    """
+
+    def __init__(self, host_id: str, row: int) -> None:
         self.host_id = host_id
+        self._row = row
         self._estimates: dict[str, float] = {}
-        self._peers: dict[str, _PeerRecord] = {}
+        #: ``(last_sent_at row, received_at row)``; None until a report is heard.
+        self._heard: tuple[list[float], list[float]] | None = None
         self.updates = 0
         self._oracle: TreeDistanceOracle | None = None
         # Shadow the get_or method with the estimate dict's own bound
@@ -108,28 +125,47 @@ class DistanceEstimator:
 
     # -- incoming ------------------------------------------------------
     def on_session(self, report: SessionReport, now: float) -> None:
-        """Digest a peer's session message received at time ``now``."""
-        record = self._peers.get(report.sender)
-        if record is None:
-            record = self._peers[report.sender] = _PeerRecord()
-        record.last_sent_at = report.sent_at
-        record.received_at = now
-        echo = report.echoes.get(self.host_id)
-        if echo is not None:
-            t1, delta = echo
-            rtt = (now - t1) - delta
+        """Digest a peer's session message received at time ``now``.
+
+        :meth:`SrmAgent.receive <repro.srm.agent.SrmAgent.receive>` carries
+        an inline of this body (one frame per delivery saved on the O(n²)
+        exchange); keep the two identical.
+        """
+        heard = self._heard
+        if heard is None:
+            heard = self._heard = ([], [])
+        sent_at, received_at = heard
+        row = report.row
+        try:
+            sent_at[row] = report.sent_at
+        except IndexError:
+            # First report from a peer whose row lies past the end: it
+            # joined after these rows were last extended.
+            grow = (-1.0,) * (row + 1 - len(sent_at))
+            sent_at.extend(grow)
+            received_at.extend(grow)
+            sent_at[row] = report.sent_at
+        received_at[row] = now
+        me = self._row
+        try:
+            t1 = report.echo_sent_at[me]
+        except IndexError:
+            t1 = -1.0  # we joined after the sender took this block
+        if t1 >= 0:
+            rtt = (now - t1) - (report.sent_at - report.echo_received_at[me])
             if rtt >= 0:
                 self._estimates[report.sender] = rtt / 2.0
                 self.updates += 1
 
     # -- outgoing ------------------------------------------------------
-    def build_echoes(self, now: float) -> dict[str, tuple[float, float]]:
-        """The echo block for this host's next session message."""
-        return {
-            peer: (rec.last_sent_at, now - rec.received_at)
-            for peer, rec in self._peers.items()
-            if rec.last_sent_at >= 0
-        }
+    def report(self, sent_at: float, max_seqs: dict[str, int]) -> SessionReport:
+        """This host's next session message: ``max_seqs`` plus a copy of
+        the two rows as they stand (the listener works out each hold time
+        from ``sent_at``)."""
+        sent, received = self._heard or ((), ())
+        return SessionReport(
+            self.host_id, self._row, sent_at, max_seqs, sent[:], received[:]
+        )
 
     # -- queries -------------------------------------------------------
     def get(self, peer: str) -> float | None:

@@ -100,18 +100,31 @@ def raw_link_propensities(
     return out
 
 
+def _receiver_links(tree: MulticastTree) -> list[tuple[LinkId, ...]]:
+    """Each receiver's source-to-receiver links, in ``tree.receivers`` order."""
+    paths = (tree.path(tree.source, receiver) for receiver in tree.receivers)
+    return [tuple(zip(path, path[1:])) for path in paths]
+
+
+def _expected_losses(
+    receiver_links: list[tuple[LinkId, ...]],
+    rates: dict[LinkId, float],
+    n_packets: int,
+) -> float:
+    total = 0.0
+    for links in receiver_links:
+        survive = 1.0
+        for link in links:
+            survive *= 1.0 - rates[link]
+        total += 1.0 - survive
+    return total * n_packets
+
+
 def expected_total_losses(
     tree: MulticastTree, rates: dict[LinkId, float], n_packets: int
 ) -> float:
     """E[total receiver losses] for independent per-link marginals."""
-    total = 0.0
-    for receiver in tree.receivers:
-        path = tree.path(tree.source, receiver)
-        survive = 1.0
-        for link in zip(path, path[1:]):
-            survive *= 1.0 - rates[link]
-        total += 1.0 - survive
-    return total * n_packets
+    return _expected_losses(_receiver_links(tree), rates, n_packets)
 
 
 def calibrate_link_rates(
@@ -128,9 +141,13 @@ def calibrate_link_rates(
     """
     if target_losses <= 0:
         return {link: 0.0 for link in propensities}
-    max_total = expected_total_losses(
-        tree, {link: rate_cap for link in propensities}, n_packets
-    )
+    # The bisection evaluates the expectation ~80 times: walk the tree once.
+    receiver_links = _receiver_links(tree)
+
+    def expected(rates: dict[LinkId, float]) -> float:
+        return _expected_losses(receiver_links, rates, n_packets)
+
+    max_total = expected({link: rate_cap for link in propensities})
     if target_losses > max_total:
         raise TraceError(
             f"target of {target_losses} losses unreachable (max {max_total:.0f})"
@@ -140,13 +157,13 @@ def calibrate_link_rates(
         return {link: min(p * scale, rate_cap) for link, p in propensities.items()}
 
     lo, hi = 0.0, 1.0
-    while expected_total_losses(tree, rates_at(hi), n_packets) < target_losses:
+    while expected(rates_at(hi)) < target_losses:
         hi *= 2.0
         if hi > 1e9:  # pragma: no cover - guarded by the max_total check
             raise TraceError("calibration diverged")
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if expected_total_losses(tree, rates_at(mid), n_packets) < target_losses:
+        if expected(rates_at(mid)) < target_losses:
             lo = mid
         else:
             hi = mid

@@ -75,6 +75,20 @@ class TestTracingIsPureObservation:
         assert again.to_result().obs == summary.obs
 
 
+    @pytest.mark.parametrize("kernel", ["python", "vector"])
+    def test_profile_counts_what_the_engine_counts(self, synthetic, kernel):
+        """Both kernels fire entries that stand for several arrivals; the
+        profiler's event count moves with ``events_processed`` either way
+        (``test_obs_round_trips_through_json`` keeps its floor id and the
+        python kernel; this is the same check over both)."""
+        config = SimulationConfig(seed=0, max_packets=TINY, kernel=kernel)
+        profiler = SimProfiler()
+        result = run_trace(synthetic, "cesrm", config, profiler=profiler)
+        assert profiler.events == result.events_processed
+        fired = sum(int(count) for count, _ in profiler.handlers.values())
+        assert fired < profiler.events  # entries, fewer than the arrivals
+
+
 class TestInvariantViolationEvents:
     def test_violation_reaches_trace_stream_before_raise(self):
         world = make_world(tree=two_subtrees(), protocol="cesrm")

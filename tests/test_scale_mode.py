@@ -85,7 +85,7 @@ class TestOracle:
 
     def test_primed_estimator_prefers_learned_estimates(self):
         tree = build_balanced_tree(branching=2, depth=2)
-        estimator = DistanceEstimator("r1")
+        estimator = DistanceEstimator("r1", row=0)
         oracle = TreeDistanceOracle(tree, propagation_delay=0.020)
         estimator.prime(oracle)
         # never heard from r2: analytic fallback, not the default
@@ -97,7 +97,7 @@ class TestOracle:
         assert estimator.get_or("r2", 99.0) == 0.123
 
     def test_unprimed_estimator_keeps_bound_dict_get(self):
-        estimator = DistanceEstimator("r1")
+        estimator = DistanceEstimator("r1", row=0)
         assert estimator.get_or == estimator._estimates.get
         assert estimator.get_or("r2", 7.5) == 7.5
 

@@ -318,7 +318,7 @@ class TestHooksRunOnTheLoop:
 class TestWaveCounters:
     def test_python_kernel_has_no_waves(self):
         _sim, network, _log = build(two_subtrees(), "python")
-        assert network.kernel_stats() == {}
+        assert network.kernel_stats() == {"entries": 0, "arrivals": 0}
 
     def test_counts_fired_wave_entries_not_sends(self):
         tree = two_subtrees()
