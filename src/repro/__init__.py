@@ -62,8 +62,8 @@ from repro.harness import (
     RunResult,
     run_trace,
     build_simulation,
+    PROTOCOLS,
     ProtocolSpec,
-    available_protocols,
 )
 from repro.faults import FaultPlan, FaultInjector, sample_plan
 from repro.metrics import MetricsCollector, OverheadBreakdown
@@ -127,8 +127,8 @@ __all__ = [
     "RunResult",
     "run_trace",
     "build_simulation",
+    "PROTOCOLS",
     "ProtocolSpec",
-    "available_protocols",
     # faults
     "FaultPlan",
     "FaultInjector",

@@ -11,15 +11,16 @@ should import from here and nowhere else:
 
 * running: :func:`run_trace`, :func:`build_simulation`,
   :class:`SimulationConfig`, :class:`RunResult`;
-* the protocol registry: :class:`ProtocolSpec`, :func:`register`,
-  :func:`available_protocols` (the list of runnable protocol names);
+* the five pluggable surfaces, each one :class:`Registry` object used
+  directly (``.register / .unregister / .get / .names() / .specs()``):
+  ``PROTOCOLS`` (:class:`ProtocolSpec`), ``WORKLOADS``, ``TOPOLOGIES``,
+  ``CACHE_POLICIES`` and ``SELECTION_POLICIES``;
 * deterministic fault injection: :class:`FaultPlan` and its event types,
   :func:`sample_plan`, :class:`FaultInjector`;
 * the trace substrate: :func:`synthesize_trace`, :func:`trace_meta`,
   :class:`SynthesisParams`, the §4.2 estimators and :class:`Attributor`;
-* declarative workloads: :func:`compile_workload`, :class:`WorkloadSpec`,
-  :func:`register_workload`, and the generative topology registry
-  (:class:`TopologySpec`, :func:`register_topology`,
+* declarative workloads (:func:`compile_workload`, :class:`WorkloadSpec`)
+  and generative topologies (:class:`TopologySpec`,
   :func:`build_topology`, :func:`synthesize_topology_trace`) plus the
   membership-churn axis (:func:`compile_churn`, :class:`ChurnPlan`);
 * verification and observability hooks, CESRM's cache/policy extension
@@ -59,6 +60,7 @@ from repro.traces.yajnik import FIGURE_TRACES, YAJNIK_TRACES, trace_meta
 # -- protocols + extension points ---------------------------------------
 from repro.core.agent import CesrmAgent
 from repro.core.cachelab import (
+    CACHE_POLICIES,
     CacheError,
     CachePolicy,
     CachePolicySpec,
@@ -70,17 +72,13 @@ from repro.core.cachelab import (
     RecoveryTuple,
     TtlCache,
     UnboundedCache,
-    all_cache_policy_specs,
-    cache_policy_names,
     compile_cache_policy,
-    get_cache_policy_spec,
     make_cache_policy,
-    register_cache_policy,
-    unregister_cache_policy,
 )
 from repro.core.policies import (
     MostFrequentLossPolicy,
     MostRecentLossPolicy,
+    SELECTION_POLICIES,
     SelectionPolicy,
     make_policy,
     register_policy,
@@ -95,19 +93,7 @@ from repro.srm.constants import SrmParams
 
 # -- harness: running simulations ---------------------------------------
 from repro.harness.config import SimulationConfig
-from repro.harness.registry import (
-    ProtocolSpec,
-    all_protocol_specs,
-    all_specs,
-    available_protocols,
-    get_protocol_spec,
-    get_spec,
-    protocol_names,
-    register,
-    register_protocol,
-    unregister,
-    unregister_protocol,
-)
+from repro.harness.registry import PROTOCOLS, ProtocolSpec
 from repro.harness.registries import Registry
 from repro.harness.specstr import SpecError, canonical_spec, parse_spec
 from repro.harness.runner import RunResult, Simulation, build_simulation, run_trace
@@ -135,29 +121,21 @@ from repro.faults import (
 
 # -- workloads: declarative offered-traffic specs -----------------------
 from repro.workloads import (
+    WORKLOADS,
     SendEvent,
     Workload,
     WorkloadError,
     WorkloadSpec,
-    all_workload_specs,
-    available_workloads,
-    build_topology,
     compile_workload,
-    register_workload,
-    synthesize_topology_trace,
-    unregister_workload,
-    workload_names,
 )
 
-# -- generative topology registry + membership churn --------------------
+# -- generative topologies + membership churn ---------------------------
 from repro.net.families import (
+    TOPOLOGIES,
     TopologyError,
     TopologySpec,
-    all_topology_specs,
-    canonical_topology_spec,
-    get_topology_spec,
-    register_topology,
-    topology_names,
+    build_topology,
+    synthesize_topology_trace,
 )
 from repro.churn import (
     ChurnError,
@@ -228,12 +206,14 @@ __all__ = [
     "RmtpFabric",
     "RecoveryTuple",
     "RecoveryPairCache",
+    "SELECTION_POLICIES",
     "SelectionPolicy",
     "MostRecentLossPolicy",
     "MostFrequentLossPolicy",
     "make_policy",
     "register_policy",
     # cache laboratory
+    "CACHE_POLICIES",
     "CacheError",
     "CachePolicy",
     "CachePolicySpec",
@@ -245,11 +225,6 @@ __all__ = [
     "UnboundedCache",
     "compile_cache_policy",
     "make_cache_policy",
-    "register_cache_policy",
-    "unregister_cache_policy",
-    "get_cache_policy_spec",
-    "cache_policy_names",
-    "all_cache_policy_specs",
     # spec-string grammar + generic registry
     "SpecError",
     "parse_spec",
@@ -262,18 +237,9 @@ __all__ = [
     "run_trace",
     "build_simulation",
     "render_recovery_timeline",
-    # registry
+    # protocol surface
+    "PROTOCOLS",
     "ProtocolSpec",
-    "register",
-    "unregister",
-    "get_spec",
-    "available_protocols",
-    "all_specs",
-    "register_protocol",
-    "unregister_protocol",
-    "get_protocol_spec",
-    "protocol_names",
-    "all_protocol_specs",
     # faults
     "FaultPlan",
     "FaultEvent",
@@ -292,26 +258,18 @@ __all__ = [
     "parse_fault_event",
     "compile_fault_plan",
     # workloads
+    "WORKLOADS",
     "Workload",
     "WorkloadSpec",
     "WorkloadError",
     "SendEvent",
     "compile_workload",
-    "register_workload",
-    "unregister_workload",
-    "available_workloads",
-    "workload_names",
-    "all_workload_specs",
-    "build_topology",
-    "synthesize_topology_trace",
-    # topology registry + churn
+    # generative topologies + churn
+    "TOPOLOGIES",
     "TopologySpec",
     "TopologyError",
-    "register_topology",
-    "topology_names",
-    "all_topology_specs",
-    "get_topology_spec",
-    "canonical_topology_spec",
+    "build_topology",
+    "synthesize_topology_trace",
     "ChurnPlan",
     "ChurnError",
     "compile_churn",

@@ -14,47 +14,43 @@ subcast, expedited replies become localized (:mod:`repro.core.router_assist`,
 """
 
 from repro.core.cachelab import (
+    CACHE_POLICIES,
     CacheError,
     CachePolicy,
     CachePolicySpec,
     CompiledCachePolicy,
     RecoveryTuple,
     RecoveryPairCache,
-    cache_policy_names,
     compile_cache_policy,
     make_cache_policy,
-    register_cache_policy,
 )
 from repro.core.policies import (
+    SELECTION_POLICIES,
     SelectionPolicy,
     MostRecentLossPolicy,
     MostFrequentLossPolicy,
     make_policy,
     register_policy,
-    policy_names,
-    POLICY_NAMES,
 )
 from repro.core.agent import CesrmAgent
 from repro.core.router_assist import RouterAssistedCesrmAgent
 
 __all__ = [
+    "CACHE_POLICIES",
     "CacheError",
     "CachePolicy",
     "CachePolicySpec",
     "CompiledCachePolicy",
     "RecoveryTuple",
     "RecoveryPairCache",
-    "cache_policy_names",
     "compile_cache_policy",
     "make_cache_policy",
-    "register_cache_policy",
+    "SELECTION_POLICIES",
     "SelectionPolicy",
     "MostRecentLossPolicy",
     "MostFrequentLossPolicy",
     "make_policy",
     "register_policy",
-    "policy_names",
-    "POLICY_NAMES",
     "CesrmAgent",
     "RouterAssistedCesrmAgent",
 ]

@@ -60,7 +60,6 @@ from repro.harness.specstr import (
     canonical_spec,
     float_param,
     int_param,
-    parse_spec,
     reject_unknown,
 )
 
@@ -452,35 +451,10 @@ class CachePolicySpec:
     tags: tuple[str, ...] = field(default=())
 
 
-_REGISTRY: Registry[CachePolicySpec] = Registry("cache policy", error=CacheError)
-
-
-def register_cache_policy(
-    spec: CachePolicySpec, replace: bool = False
-) -> CachePolicySpec:
-    """Add ``spec`` to the registry.  Re-registering an existing name is
-    an error unless ``replace=True`` (tests swapping in doubles)."""
-    return _REGISTRY.register(spec, replace=replace)
-
-
-def unregister_cache_policy(name: str) -> None:
-    """Remove a cache-policy family (tests cleaning up doubles)."""
-    _REGISTRY.unregister(name)
-
-
-def get_cache_policy_spec(name: str) -> CachePolicySpec:
-    """The spec registered under ``name``; raises :class:`CacheError`
-    (with the known names) otherwise."""
-    return _REGISTRY.get(name)
-
-
-def cache_policy_names() -> tuple[str, ...]:
-    """Registered cache-policy family names, in registration order."""
-    return _REGISTRY.names()
-
-
-def all_cache_policy_specs() -> tuple[CachePolicySpec, ...]:
-    return _REGISTRY.specs()
+#: The cache-policy surface (see :mod:`repro.harness.registries`).
+CACHE_POLICIES: Registry[CachePolicySpec] = Registry(
+    "cache policy", error=CacheError
+)
 
 
 class CompiledCachePolicy:
@@ -512,10 +486,8 @@ def compile_cache_policy(spec: str) -> CompiledCachePolicy:
     (the single validation point — ``SimulationConfig``, the sweep
     compiler, and the CLI all call this, so a typo fails before any
     simulation starts)."""
-    family, params = parse_spec(spec, label="cache policy", error=CacheError)
-    cs = get_cache_policy_spec(family)
-    maker = cs.factory(dict(params))
-    return CompiledCachePolicy(family, params, maker)
+    cs, params = CACHE_POLICIES.resolve(spec)
+    return CompiledCachePolicy(cs.name, params, cs.factory(dict(params)))
 
 
 def make_cache_policy(
@@ -610,7 +582,7 @@ def _unbounded_factory(params: dict) -> PolicyMaker:
     return make
 
 
-register_cache_policy(
+CACHE_POLICIES.register(
     CachePolicySpec(
         name="paper",
         factory=_paper_factory,
@@ -620,7 +592,7 @@ register_cache_policy(
         tags=("paper", "default"),
     )
 )
-register_cache_policy(
+CACHE_POLICIES.register(
     CachePolicySpec(
         name="lru",
         factory=_lru_factory,
@@ -630,7 +602,7 @@ register_cache_policy(
         tags=("locality",),
     )
 )
-register_cache_policy(
+CACHE_POLICIES.register(
     CachePolicySpec(
         name="lfu",
         factory=_lfu_factory,
@@ -640,7 +612,7 @@ register_cache_policy(
         tags=("locality",),
     )
 )
-register_cache_policy(
+CACHE_POLICIES.register(
     CachePolicySpec(
         name="ttl",
         factory=_ttl_factory,
@@ -654,7 +626,7 @@ register_cache_policy(
         tags=("decay",),
     )
 )
-register_cache_policy(
+CACHE_POLICIES.register(
     CachePolicySpec(
         name="prob",
         factory=_prob_factory,
@@ -667,7 +639,7 @@ register_cache_policy(
         tags=("admission",),
     )
 )
-register_cache_policy(
+CACHE_POLICIES.register(
     CachePolicySpec(
         name="unbounded",
         factory=_unbounded_factory,
@@ -678,6 +650,7 @@ register_cache_policy(
 
 
 __all__ = [
+    "CACHE_POLICIES",
     "CacheError",
     "CachePolicy",
     "CachePolicySpec",
@@ -691,11 +664,6 @@ __all__ = [
     "RecoveryTuple",
     "TtlCache",
     "UnboundedCache",
-    "all_cache_policy_specs",
-    "cache_policy_names",
     "compile_cache_policy",
-    "get_cache_policy_spec",
     "make_cache_policy",
-    "register_cache_policy",
-    "unregister_cache_policy",
 ]

@@ -71,19 +71,17 @@ class MostFrequentLossPolicy(SelectionPolicy):
         return None  # pragma: no cover - best_pair comes from entries
 
 
-#: Registry of policies by CLI/config name; extend via register_policy.
-#: (One shared :class:`~repro.harness.registries.Registry` instance —
-#: the same helper behind protocols, workloads, and cache policies.)
-_REGISTRY: Registry[type[SelectionPolicy]] = Registry("policy")
-_REGISTRY.register(MostRecentLossPolicy)
-_REGISTRY.register(MostFrequentLossPolicy)
-
-#: The built-in policy names (a snapshot; see policy_names() for the live
-#: registry including user registrations).
-POLICY_NAMES: tuple[str, ...] = _REGISTRY.names()
+#: The selection-policy surface (see :mod:`repro.harness.registries`);
+#: extend via :func:`register_policy`, which first checks that the class
+#: defines its own ``name``.
+SELECTION_POLICIES: Registry[type[SelectionPolicy]] = Registry("policy")
+SELECTION_POLICIES.register(MostRecentLossPolicy)
+SELECTION_POLICIES.register(MostFrequentLossPolicy)
 
 
-def register_policy(policy_cls: type[SelectionPolicy]) -> type[SelectionPolicy]:
+def register_policy(
+    policy_cls: type[SelectionPolicy], replace: bool = False
+) -> type[SelectionPolicy]:
     """Register a custom policy class under its ``name`` so configs can
     refer to it by string.  Usable as a class decorator::
 
@@ -91,23 +89,17 @@ def register_policy(policy_cls: type[SelectionPolicy]) -> type[SelectionPolicy]:
         class FastestPairPolicy(SelectionPolicy):
             name = "fastest-pair"
             ...
+
+    A name that is already registered is refused unless ``replace=True``:
+    swapping the paper's §3.2 policy under a run is something no digest
+    records.
     """
     name = policy_cls.name
     if not name or name == SelectionPolicy.name:
         raise ValueError("policy classes must define a unique `name`")
-    return _REGISTRY.register(policy_cls, replace=True)
-
-
-def unregister_policy(name: str) -> None:
-    """Remove a registered policy (primarily for tests cleaning up)."""
-    _REGISTRY.unregister(name)
-
-
-def policy_names() -> tuple[str, ...]:
-    """All currently registered policy names."""
-    return _REGISTRY.names()
+    return SELECTION_POLICIES.register(policy_cls, replace=replace)
 
 
 def make_policy(name: str) -> SelectionPolicy:
     """Instantiate a registered policy by name."""
-    return _REGISTRY.get(name)()
+    return SELECTION_POLICIES.get(name)()

@@ -62,7 +62,8 @@ class CacheEntry:
     fingerprint: str
     size_bytes: int
     #: The run axes the stored job carries, name -> value: those off
-    #: their defaults (an axis the entry pre-dates was at its default).
+    #: their defaults (an axis the entry pre-dates was at its default),
+    #: plus a ``faults`` label when its fault plan is non-empty.
     axes: Mapping[str, Any] = field(default_factory=dict)
     #: Last-modified time of the entry file (what ``prune`` ages on).
     mtime: float = 0.0

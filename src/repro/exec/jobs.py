@@ -27,7 +27,7 @@ from repro.exec.summary import (
 from repro.faults import FaultPlan
 from repro.harness import runner
 from repro.harness.config import CONFIG_AXES, SimulationConfig, axis, declared_axes
-from repro.harness.registry import available_protocols
+from repro.harness.registry import PROTOCOLS
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,9 @@ class RunJob:
     )
 
     def __post_init__(self) -> None:
-        if self.protocol not in available_protocols():
-            raise ValueError(
-                f"unknown protocol {self.protocol!r}; "
-                f"known: {available_protocols()}"
-            )
         # Validate eagerly so a typo fails at job construction, not in
-        # a pool worker three layers down (mirrors the protocol check).
+        # a pool worker three layers down.
+        PROTOCOLS.get(self.protocol)
         for declared in JOB_AXES:
             declared.check(getattr(self, declared.name))
 
@@ -162,10 +158,19 @@ def split_axes(
 def stored_axes(payload: Mapping[str, Any]) -> dict[str, Any]:
     """The axes a :meth:`RunJob.to_dict` payload carries: those off their
     defaults, which is all the wire form records — and what tells two
-    otherwise identical runs apart in a listing."""
+    otherwise identical runs apart in a listing.  A non-empty fault plan
+    is told apart the same way, as ``faults=<events>:<first 8 hex of its
+    canonical-JSON sha256>``."""
     axes = {a.name: payload[a.name] for a in JOB_AXES if a.name in payload}
     config = payload["config"]
     axes.update((a.name, config[a.name]) for a in CONFIG_AXES if a.name in config)
+    faults = payload.get("faults")
+    if faults:
+        text = json.dumps(faults, sort_keys=True)
+        axes["faults"] = (
+            f"{len(faults['events'])}:"
+            f"{hashlib.sha256(text.encode()).hexdigest()[:8]}"
+        )
     return axes
 
 
@@ -175,9 +180,9 @@ def synthesize_job_trace(
     """Resolve a job's ``trace`` field: a generative topology spec
     (``tree:depth=3,fanout=2``) builds its own tree; a plain name is a
     Table 1 trace.  Deterministic in the arguments."""
+    from repro.net.families import is_topology_spec, synthesize_topology_trace
     from repro.traces.synthesize import synthesize_trace
     from repro.traces.yajnik import trace_meta
-    from repro.workloads import is_topology_spec, synthesize_topology_trace
 
     if is_topology_spec(trace):
         return synthesize_topology_trace(trace, seed=seed, max_packets=max_packets)

@@ -5,10 +5,10 @@
 * :mod:`repro.harness.specstr` — the shared ``family:key=value`` spec
   grammar every pluggable surface (workloads, topologies, faults, cache
   policies) parses through.
-* :mod:`repro.harness.registries` — the generic name -> spec registry
-  those surfaces register into.
-* :mod:`repro.harness.registry` — the pluggable protocol-session registry
-  (:class:`ProtocolSpec`); every protocol the harness runs ships through it.
+* :mod:`repro.harness.registries` — the :class:`Registry` object every
+  such surface is one instance of.
+* :mod:`repro.harness.registry` — the protocol surface (``PROTOCOLS``,
+  :class:`ProtocolSpec`); every protocol the harness runs ships through it.
 * :mod:`repro.harness.runner` — builds a simulation (tree, network,
   agents, fault injection) and runs it to completion.
 * :mod:`repro.harness.experiments` — drivers that regenerate every table
@@ -29,12 +29,8 @@ from typing import Any
 #: name -> (module, attribute); resolved on first access.
 _EXPORTS = {
     "SimulationConfig": ("repro.harness.config", "SimulationConfig"),
+    "PROTOCOLS": ("repro.harness.registry", "PROTOCOLS"),
     "ProtocolSpec": ("repro.harness.registry", "ProtocolSpec"),
-    "all_specs": ("repro.harness.registry", "all_specs"),
-    "available_protocols": ("repro.harness.registry", "available_protocols"),
-    "get_spec": ("repro.harness.registry", "get_spec"),
-    "register": ("repro.harness.registry", "register"),
-    "unregister": ("repro.harness.registry", "unregister"),
     "RunResult": ("repro.harness.runner", "RunResult"),
     "run_trace": ("repro.harness.runner", "run_trace"),
     "build_simulation": ("repro.harness.runner", "build_simulation"),
@@ -42,12 +38,8 @@ _EXPORTS = {
 
 __all__ = [
     "SimulationConfig",
+    "PROTOCOLS",
     "ProtocolSpec",
-    "all_specs",
-    "available_protocols",
-    "get_spec",
-    "register",
-    "unregister",
     "RunResult",
     "run_trace",
     "build_simulation",

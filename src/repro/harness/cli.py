@@ -95,9 +95,13 @@ from repro.exec.cache import RunCache, default_cache_dir
 from repro.exec.jobs import RUN_AXES, run_job, source_fingerprint
 from repro.harness import experiments as exp
 from repro.harness import report
-from repro.harness.registry import all_specs, available_protocols
+from repro.harness.registry import PROTOCOLS
 from repro.metrics.stats import mean
 from repro.traces.yajnik import YAJNIK_TRACES
+
+#: The registry-backed ``cesrm <things>`` commands; each is also the
+#: key of its rows in the ``--json`` form.
+LISTING_COMMANDS = ("protocols", "workloads", "topologies", "caches")
 
 COMMANDS = (
     "table1",
@@ -115,10 +119,7 @@ COMMANDS = (
     "timeline",
     "trace",
     "faults",
-    "protocols",
-    "workloads",
-    "topologies",
-    "caches",
+    *LISTING_COMMANDS,
     "cache",
     "sweep",
     "all",
@@ -134,14 +135,14 @@ SWEEP_SUBCOMMANDS = ("run", "status", "query", "report")
 def _trace_arg(value: str) -> str:
     """``--trace`` accepts a Yajnik trace name or a generative topology
     spec (``tree:depth=3,fanout=4``)."""
-    from repro.workloads import WorkloadError, is_topology_spec, parse_topology_spec
+    from repro.net.families import TopologyError, is_topology_spec, parse_topology_spec
 
     if value in {m.name for m in YAJNIK_TRACES}:
         return value
     if is_topology_spec(value):
         try:
             parse_topology_spec(value)
-        except WorkloadError as exc:
+        except TopologyError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     raise argparse.ArgumentTypeError(
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--protocol",
         default="cesrm",
-        choices=available_protocols(),
+        choices=PROTOCOLS.names(),
         help="protocol for the `run` command",
     )
     for declared in FLAG_AXES:
@@ -521,14 +522,8 @@ def main(argv: list[str] | None = None) -> int:
         out.append(_trace_command(args, ctx))
     if args.command == "faults":
         out.append(_faults_command(args, ctx))
-    if args.command == "protocols":
-        out.append(_protocols_command(as_json=args.json))
-    if args.command == "workloads":
-        out.append(_workloads_command(as_json=args.json))
-    if args.command == "topologies":
-        out.append(_topologies_command(as_json=args.json))
-    if args.command == "caches":
-        out.append(_caches_command(as_json=args.json))
+    if args.command in LISTING_COMMANDS:
+        out.append(_listing_command(args.command, args.json))
 
     print("\n\n".join(out))
     cache = ctx.engine.cache
@@ -767,165 +762,82 @@ def _faults_command(args: argparse.Namespace, ctx: exp.ExperimentContext) -> str
 
 def _listing_json(payload) -> str:
     """The one JSON rendering behind every ``cesrm <registry> --json``
-    listing (protocols/workloads/faults/caches), so tools see a uniform
-    serialization (stable key order, two-space indent)."""
+    listing (protocols/workloads/topologies/caches and ``faults``), so
+    tools see a uniform serialization (stable key order, two-space
+    indent)."""
     import json
 
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _spec_lines(specs, *, width: int, extras=None, params: bool = False):
-    """Uniform text rows for a registry listing: one right-aligned name +
-    description per spec, tag suffixes, and (``params=True``) indented
-    parameter docs underneath."""
-    lines = []
-    for spec in specs:
-        tags = list(extras(spec)) if extras is not None else list(spec.tags)
-        suffix = f"  [{', '.join(tags)}]" if tags else ""
-        lines.append(f"  {spec.name:>{width}s}  {spec.description}{suffix}")
-        if params:
-            for key, doc in spec.params_doc.items():
-                lines.append(f"  {'':>{width}s}    {key}: {doc}")
-    return lines
-
-
-def _protocols_command(as_json: bool = False) -> str:
-    """List every protocol the registry knows (``--json`` for tools)."""
-    if as_json:
-        return _listing_json(
-            {
-                "protocols": [
-                    {
-                        "name": spec.name,
-                        "description": spec.description,
-                        "tags": list(spec.tags),
-                        "fabric": spec.fabric_factory is not None,
-                    }
-                    for spec in all_specs()
-                ]
-            }
-        )
-
-    def extras(spec):
-        return (["fabric"] if spec.fabric_factory is not None else []) + list(
-            spec.tags
-        )
-
-    return "\n".join(
-        ["registered protocols:"]
-        + _spec_lines(all_specs(), width=12, extras=extras)
-    )
-
-
-def _workloads_command(as_json: bool = False) -> str:
-    """List every workload family the registry knows, with parameters."""
-    from repro.net.families import all_topology_specs
-    from repro.workloads import all_workload_specs
-
-    if as_json:
-        return _listing_json(
-            {
-                "workloads": [
-                    {
-                        "name": spec.name,
-                        "description": spec.description,
-                        "params": dict(spec.params_doc),
-                        "tags": list(spec.tags),
-                    }
-                    for spec in all_workload_specs()
-                ],
-                "topologies": [
-                    {
-                        "name": spec.name,
-                        "params": dict(spec.params_doc),
-                    }
-                    for spec in all_topology_specs()
-                ],
-            }
-        )
-    lines = ["registered workloads (cesrm run --workload <family>[:k=v,...]):"]
-    lines.extend(_spec_lines(all_workload_specs(), width=14, params=True))
-    lines.append("")
-    lines.append(
-        "topology specs (the --trace slot): tree:depth=D,fanout=F, "
-        + ", ".join(
-            f"{spec.name}:..." for spec in all_topology_specs()
-            if spec.name != "tree"
-        )
-        + " — `cesrm topologies` lists parameters"
-    )
-    return "\n".join(lines)
-
-
-def _topologies_command(as_json: bool = False) -> str:
-    """List every generative topology family the registry knows.
-
-    These specs ride the ``--trace`` slot (``cesrm run --trace
-    transit_stub:transits=4,stubs=8,hosts=16``) and fold into run-cache
-    digests like workload specs.  See docs/topologies.md for the grammar,
-    the ``--churn`` membership axis, and the scale methodology.
-    """
+def _listing_command(command: str, as_json: bool) -> str:
+    """The one renderer behind ``cesrm protocols | workloads | topologies
+    | caches``: a surface's rows come from its registry
+    (:meth:`~repro.harness.registries.Registry.rows`); this table adds
+    what only the command knows — heading, name column width, the extra
+    ``--json`` blocks and the text footer."""
     from repro.churn import CHURN_DEFAULTS, CHURN_FAMILY
-    from repro.net.families import all_topology_specs
+    from repro.core.cachelab import CACHE_POLICIES
+    from repro.net.families import TOPOLOGIES
+    from repro.workloads import WORKLOADS
 
-    if as_json:
-        return _listing_json(
+    registry, heading, width, blocks, footer = {
+        "protocols": (PROTOCOLS, "registered protocols:", 12, {}, None),
+        "workloads": (
+            WORKLOADS,
+            "registered workloads (cesrm run --workload <family>[:k=v,...]):",
+            14,
+            {"topologies": TOPOLOGIES.rows()},
+            "topology specs (the --trace slot): "
+            + ", ".join(f"{name}:..." for name in TOPOLOGIES.names())
+            + " — `cesrm topologies` lists parameters",
+        ),
+        # Topology specs ride the ``--trace`` slot and fold into run-cache
+        # digests like workload specs; docs/topologies.md has the grammar,
+        # the ``--churn`` membership axis and the scale methodology.
+        "topologies": (
+            TOPOLOGIES,
+            "registered topology families (cesrm run --trace <family>[:k=v,...]):",
+            12,
             {
-                "topologies": [
-                    {
-                        "name": spec.name,
-                        "description": spec.description,
-                        "params": dict(spec.params_doc),
-                        "tags": list(spec.tags),
-                        "calibrated": spec.calibrated,
-                    }
-                    for spec in all_topology_specs()
-                ],
                 "churn": {
                     "name": CHURN_FAMILY,
                     "params": {
                         "rate": "mean join/leave events per second (required)",
                         **{k: f"default {v}" for k, v in CHURN_DEFAULTS.items()},
                     },
-                },
-            }
-        )
-
-    lines = ["registered topology families (cesrm run --trace <family>[:k=v,...]):"]
-    lines.extend(_spec_lines(all_topology_specs(), width=12, params=True))
-    lines.append("")
-    lines.append(
-        "membership churn (any topology): --churn churn:rate=R"
-        "[,leave=0.5,start=0,until=end,floor=2] — see docs/topologies.md"
-    )
-    return "\n".join(lines)
-
-
-def _caches_command(as_json: bool = False) -> str:
-    """List every recovery-cache policy the cachelab registry knows."""
-    from repro.core.cachelab import all_cache_policy_specs
-
+                }
+            },
+            "membership churn (any topology): --churn churn:rate=R"
+            "[,leave=0.5,start=0,until=end,floor=2] — see docs/topologies.md",
+        ),
+        "caches": (
+            CACHE_POLICIES,
+            "registered cache policies (cesrm run --cache <family>[:k=v,...]):",
+            10,
+            {},
+            "the default (no --cache) is the paper's seqno-ordered cache at "
+            "capacity 16; explicit specs fold into run-cache digests",
+        ),
+    }[command]
+    rows = registry.rows()
     if as_json:
-        return _listing_json(
-            {
-                "caches": [
-                    {
-                        "name": spec.name,
-                        "description": spec.description,
-                        "params": dict(spec.params_doc),
-                        "tags": list(spec.tags),
-                    }
-                    for spec in all_cache_policy_specs()
-                ]
-            }
-        )
-    lines = ["registered cache policies (cesrm run --cache <family>[:k=v,...]):"]
-    lines.extend(_spec_lines(all_cache_policy_specs(), width=10, params=True))
-    lines.append("")
-    lines.append(
-        "the default (no --cache) is the paper's seqno-ordered cache at "
-        "capacity 16; explicit specs fold into run-cache digests"
-    )
+        return _listing_json({command: rows, **blocks})
+    lines = [heading]
+    for row in rows:
+        # A boolean listing field reads as a tag unless the spec already
+        # tags itself so (``tree`` is both calibrated and "calibrated").
+        tags = [
+            key
+            for key in registry.listing
+            if row[key] is True and key not in row["tags"]
+        ] + row["tags"]
+        suffix = f"  [{', '.join(tags)}]" if tags else ""
+        lines.append(f"  {row['name']:>{width}s}  {row['description']}{suffix}")
+        for key, doc in row.get("params", {}).items():
+            lines.append(f"  {'':>{width}s}    {key}: {doc}")
+    if footer is not None:
+        lines += ["", footer]
     return "\n".join(lines)
 
 

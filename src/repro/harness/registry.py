@@ -8,19 +8,19 @@ a hook deriving protocol-specific agent kwargs from the run's
 hook the fault layer calls when a host dies (LMS records the crash against
 its fabric so stale replier designations can be observed and repaired).
 
-``build_simulation`` consults only this registry — there are no
+``build_simulation`` consults only :data:`PROTOCOLS` — there are no
 protocol-name conditionals in the runner — so a new protocol (or a test
-double) plugs in with one :func:`register` call:
+double) plugs in with one ``register`` call:
 
 .. code-block:: python
 
-    from repro.harness.registry import ProtocolSpec, register
+    from repro.harness.registry import PROTOCOLS, ProtocolSpec
 
-    register(ProtocolSpec(name="my-srm", agent_cls=MySrmVariant))
+    PROTOCOLS.register(ProtocolSpec(name="my-srm", agent_cls=MySrmVariant))
 
 The four shipped protocols (plus the two SRM/CESRM variants) register
 themselves at import time, in the order the paper discusses them; that
-order is what :func:`available_protocols` exposes.
+order is what ``PROTOCOLS.names()`` exposes.
 """
 
 from __future__ import annotations
@@ -65,6 +65,12 @@ class ProtocolSpec:
     #: Extra metadata for listings and experiments.
     tags: tuple[str, ...] = field(default=())
 
+    @property
+    def fabric(self) -> bool:
+        """Whether the protocol runs a shared router fabric (a listing
+        field of ``cesrm protocols``)."""
+        return self.fabric_factory is not None
+
     def build_fabric(self, tree: MulticastTree) -> Any | None:
         return self.fabric_factory(tree) if self.fabric_factory is not None else None
 
@@ -77,44 +83,8 @@ class ProtocolSpec:
         return self.crash_hook(fabric)
 
 
-#: One shared :class:`~repro.harness.registries.Registry` instance — the
-#: same helper behind workloads, selection policies, and cache policies.
-_REGISTRY: Registry[ProtocolSpec] = Registry("protocol")
-
-
-def register(spec: ProtocolSpec, replace: bool = False) -> ProtocolSpec:
-    """Add ``spec`` to the registry.  Re-registering an existing name is an
-    error unless ``replace=True`` (tests swapping in doubles)."""
-    return _REGISTRY.register(spec, replace=replace)
-
-
-def unregister(name: str) -> None:
-    """Remove a protocol (primarily for tests cleaning up doubles)."""
-    _REGISTRY.unregister(name)
-
-
-def get_spec(name: str) -> ProtocolSpec:
-    """The spec registered under ``name``; raises ``ValueError`` (with the
-    known names) otherwise — the runner's single validation point."""
-    return _REGISTRY.get(name)
-
-
-def available_protocols() -> tuple[str, ...]:
-    """Registered protocol names, in registration order."""
-    return _REGISTRY.names()
-
-
-def all_specs() -> tuple[ProtocolSpec, ...]:
-    return _REGISTRY.specs()
-
-
-# Consistent `register_* / *_names / get_*_spec` aliases matching the
-# other registries (the original shorter names remain fully supported).
-register_protocol = register
-unregister_protocol = unregister
-get_protocol_spec = get_spec
-protocol_names = available_protocols
-all_protocol_specs = all_specs
+#: The protocol surface (see :mod:`repro.harness.registries`).
+PROTOCOLS: Registry[ProtocolSpec] = Registry("protocol", listing=("fabric",))
 
 
 # ----------------------------------------------------------------------
@@ -142,21 +112,21 @@ def _cesrm_kwargs(config: SimulationConfig) -> dict[str, Any]:
     return kwargs
 
 
-register(
+PROTOCOLS.register(
     ProtocolSpec(
         name="srm",
         agent_cls=SrmAgent,
         description="Scalable Reliable Multicast (§2): suppression-timer recovery",
     )
 )
-register(
+PROTOCOLS.register(
     ProtocolSpec(
         name="srm-adaptive",
         agent_cls=AdaptiveSrmAgent,
         description="SRM with adaptive request/reply timer adjustment",
     )
 )
-register(
+PROTOCOLS.register(
     ProtocolSpec(
         name="cesrm",
         agent_cls=CesrmAgent,
@@ -165,7 +135,7 @@ register(
         tags=("expedited",),
     )
 )
-register(
+PROTOCOLS.register(
     ProtocolSpec(
         name="cesrm-router",
         agent_cls=RouterAssistedCesrmAgent,
@@ -174,7 +144,7 @@ register(
         tags=("expedited", "router-assisted"),
     )
 )
-register(
+PROTOCOLS.register(
     ProtocolSpec(
         name="lms",
         agent_cls=LmsAgent,
@@ -184,7 +154,7 @@ register(
         tags=("router-assisted",),
     )
 )
-register(
+PROTOCOLS.register(
     ProtocolSpec(
         name="rmtp",
         agent_cls=RmtpAgent,
@@ -194,16 +164,4 @@ register(
 )
 
 
-__all__ = [
-    "ProtocolSpec",
-    "all_protocol_specs",
-    "all_specs",
-    "available_protocols",
-    "get_protocol_spec",
-    "get_spec",
-    "protocol_names",
-    "register",
-    "register_protocol",
-    "unregister",
-    "unregister_protocol",
-]
+__all__ = ["PROTOCOLS", "ProtocolSpec"]

@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.faults import FaultInjector, FaultPlan, recovery_loss_rule, trace_drop_rule
 from repro.harness.config import SimulationConfig
-from repro.harness.registry import get_spec
+from repro.harness.registry import PROTOCOLS
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.overhead import OverheadBreakdown, overhead_breakdown
 from repro.metrics.stats import mean
@@ -189,7 +189,7 @@ def build_simulation(
     join/leave process over the run, and the empty spec leaves the run
     byte-identical to a build without churn support.
     """
-    spec = get_spec(protocol)
+    spec = PROTOCOLS.get(protocol)
     plan = faults if faults is not None else FaultPlan()
     churn_plan = None
     if churn:

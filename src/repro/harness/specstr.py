@@ -15,9 +15,11 @@ A single bare token (no ``=``) is a positional value, stored under
 Every caller keeps its own error type (``WorkloadError``, ``CacheError``,
 ...) and noun ("workload", "cache policy") — pass them as ``error`` and
 ``label``/``where`` so messages stay domain-specific while the grammar
-stays in one place.  The wording below is pinned by tests: it predates
-this module (it was ``repro.workloads.registry.parse_spec``) and summary
-digests and CLI output depend on canonical spec strings not changing.
+stays in one place (a registry-backed surface binds both once, in
+:meth:`repro.harness.registries.Registry.resolve`).  The wording below
+is pinned by tests: it predates this module (it was the workloads
+parser) and summary digests and CLI output depend on canonical spec
+strings not changing.
 """
 
 from __future__ import annotations

@@ -28,10 +28,8 @@ Loss synthesis comes in two flavours:
   dominates the run, and the scale experiments care about relative
   protocol behaviour, not hitting a published loss total.
 
-This module must not import :mod:`repro.workloads` (the legacy
-``repro.workloads.topology`` shim imports *us*); everything here builds
-on :mod:`repro.net.topology`, :mod:`repro.traces` and the harness
-grammar only.
+Everything here builds on :mod:`repro.net.topology`, :mod:`repro.traces`
+and the harness grammar only.
 """
 
 from __future__ import annotations
@@ -41,8 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.harness.registries import Registry
-from repro.harness.specstr import canonical_spec as _canonical_spec
-from repro.harness.specstr import parse_spec as _parse_spec
+from repro.harness.specstr import canonical_spec
 from repro.net.topology import MulticastTree, build_balanced_tree, build_random_tree
 from repro.sim.rng import RngRegistry
 from repro.traces.model import SyntheticTrace
@@ -99,37 +96,12 @@ class TopologySpec:
     tags: tuple[str, ...] = ()
 
 
-_REGISTRY: Registry[TopologySpec] = Registry("topology family", error=TopologyError)
-
-
-def register_topology(spec: TopologySpec, replace: bool = False) -> TopologySpec:
-    return _REGISTRY.register(spec, replace=replace)
-
-
-def unregister_topology(name: str) -> None:
-    _REGISTRY.unregister(name)
-
-
-def get_topology_spec(name: str) -> TopologySpec:
-    if name not in _REGISTRY:
-        raise TopologyError(
-            f"unknown topology family {name!r}; known: {topology_names()}"
-        )
-    return _REGISTRY.get(name)
-
-
-def topology_names() -> tuple[str, ...]:
-    return _REGISTRY.names()
-
-
-def all_topology_specs() -> tuple[TopologySpec, ...]:
-    return _REGISTRY.specs()
-
-
-#: Backwards-compatible alias (``repro.workloads.topology`` re-exports
-#: this as the documented tuple of family names).
-def available_topologies() -> tuple[str, ...]:
-    return _REGISTRY.names()
+#: The topology surface (see :mod:`repro.harness.registries`): families
+#: are registered, *topology* specs are parsed.
+TOPOLOGIES: Registry[TopologySpec] = Registry(
+    "topology family", error=TopologyError, label="topology",
+    listing=("calibrated",),
+)
 
 
 # ----------------------------------------------------------------------
@@ -139,33 +111,31 @@ def is_topology_spec(name: str) -> bool:
     """True when ``name`` is a generative topology spec rather than a
     Yajnik trace name (the router: a ``family:`` prefix we know)."""
     family, _, rest = name.partition(":")
-    return bool(rest) and family.strip() in _REGISTRY
+    return bool(rest) and family.strip() in TOPOLOGIES
+
+
+def _resolve(spec: str) -> tuple[TopologySpec, str, dict[str, str]]:
+    """``(family, canonical spec, merged params)`` of a topology spec:
+    family defaults filled in, unknown keys rejected, values
+    range-checked.  The canonical spec (family, then the *user-supplied*
+    parameters sorted by key — defaults stay implicit) is the identity
+    equivalent spellings share."""
+    fspec, params = TOPOLOGIES.resolve(spec)
+    unknown = set(params) - set(fspec.defaults)
+    if unknown:
+        raise TopologyError(
+            f"unknown parameter(s) {sorted(unknown)} for topology {fspec.name!r}"
+        )
+    merged = {**fspec.defaults, **params}
+    fspec.validate(spec, merged)
+    return fspec, canonical_spec(fspec.name, params), merged
 
 
 def parse_topology_spec(spec: str) -> dict[str, str]:
     """Validate a topology spec and return its full parameter mapping
     (family defaults filled in, unknown keys rejected, values range-
     checked)."""
-    family, params = _parse_spec(spec, label="topology", error=TopologyError)
-    fspec = get_topology_spec(family)
-    unknown = set(params) - set(fspec.defaults)
-    if unknown:
-        raise TopologyError(
-            f"unknown parameter(s) {sorted(unknown)} for topology {family!r}"
-        )
-    merged = dict(fspec.defaults)
-    merged.update(params)
-    fspec.validate(spec, merged)
-    return merged
-
-
-def canonical_topology_spec(spec: str) -> str:
-    """The normalized spec string equivalent spellings share (family,
-    then the *user-supplied* parameters sorted by key — defaults stay
-    implicit, exactly like trace names before the registry)."""
-    family, params = _parse_spec(spec, label="topology", error=TopologyError)
-    get_topology_spec(family)
-    return _canonical_spec(family, params)
+    return _resolve(spec)[2]
 
 
 def _shared_values(spec: str, merged: Mapping[str, str]) -> tuple[float, float, int]:
@@ -357,10 +327,7 @@ def build_topology(spec: str, seed: int = 0) -> MulticastTree:
     families draw their shape from the same ``topology`` stream the
     trace synthesis uses, so ``build_topology(spec, seed)`` matches the
     tree inside ``synthesize_topology_trace(spec, seed)``."""
-    merged = parse_topology_spec(spec)
-    family, _params = _parse_spec(spec, label="topology", error=TopologyError)
-    fspec = get_topology_spec(family)
-    name = canonical_topology_spec(spec)
+    fspec, name, merged = _resolve(spec)
     rng = RngRegistry(seed).fork(f"trace:{name}").stream("topology")
     return fspec.build(merged, rng)
 
@@ -379,10 +346,7 @@ def synthesize_topology_trace(
     families sample uncalibrated per-link Gilbert processes at rate
     ``loss``.  Deterministic in ``(spec, seed, max_packets)``.
     """
-    merged = parse_topology_spec(spec)
-    family, _params = _parse_spec(spec, label="topology", error=TopologyError)
-    fspec = get_topology_spec(family)
-    name = canonical_topology_spec(spec)
+    fspec, name, merged = _resolve(spec)
     loss = float(merged["loss"])
     period = float(merged["period"])
     n_packets = int(merged["packets"])
@@ -419,7 +383,7 @@ def synthesize_topology_trace(
 # ----------------------------------------------------------------------
 # Registrations
 # ----------------------------------------------------------------------
-register_topology(
+TOPOLOGIES.register(
     TopologySpec(
         name="tree",
         build=_build_tree,
@@ -438,7 +402,7 @@ register_topology(
     )
 )
 
-register_topology(
+TOPOLOGIES.register(
     TopologySpec(
         name="transit_stub",
         build=_build_transit_stub,
@@ -457,7 +421,7 @@ register_topology(
     )
 )
 
-register_topology(
+TOPOLOGIES.register(
     TopologySpec(
         name="random_tree",
         build=_build_random_tree,
@@ -475,7 +439,7 @@ register_topology(
     )
 )
 
-register_topology(
+TOPOLOGIES.register(
     TopologySpec(
         name="fat_tree",
         build=_build_fat_tree,
@@ -495,18 +459,12 @@ register_topology(
 
 __all__ = [
     "MAX_RECEIVERS",
+    "TOPOLOGIES",
     "TREE_DEFAULTS",
     "TopologyError",
     "TopologySpec",
-    "all_topology_specs",
-    "available_topologies",
     "build_topology",
-    "canonical_topology_spec",
-    "get_topology_spec",
     "is_topology_spec",
     "parse_topology_spec",
-    "register_topology",
     "synthesize_topology_trace",
-    "topology_names",
-    "unregister_topology",
 ]

@@ -419,14 +419,14 @@ def _check_param_name(key: str, where: str) -> None:
 
 def _validate_trace(trace: str, where: str) -> None:
     from repro.traces.yajnik import YAJNIK_TRACES
-    from repro.workloads import WorkloadError, is_topology_spec, parse_topology_spec
+    from repro.net.families import TopologyError, is_topology_spec, parse_topology_spec
 
     if trace in {m.name for m in YAJNIK_TRACES}:
         return
     if is_topology_spec(trace):
         try:
             parse_topology_spec(trace)
-        except WorkloadError as exc:
+        except TopologyError as exc:
             raise SweepError(f"{where}: {exc}") from None
         return
     raise SweepError(

@@ -6,25 +6,18 @@ through a pluggable registry mirroring the protocol registry.  See
 ``docs/workloads.md`` for the grammar and the extension recipe.
 
 Importing this package registers the built-in families (cbr, poisson,
-zipf, flash_crowd, diurnal, multi_source, trace) and exposes the
-generative topology helpers (``tree:depth=D,fanout=F``).
+zipf, flash_crowd, diurnal, multi_source, trace) in :data:`WORKLOADS`.
+Generative topologies (``tree:depth=D,fanout=F``) are their own surface,
+:mod:`repro.net.families`.
 """
 
 from repro.workloads.registry import (
-    POSITIONAL,
+    WORKLOADS,
     SendEvent,
     Workload,
     WorkloadError,
     WorkloadSpec,
-    all_workload_specs,
-    available_workloads,
-    canonical_spec,
     compile_workload,
-    get_workload_spec,
-    parse_spec,
-    register_workload,
-    unregister_workload,
-    workload_names,
 )
 from repro.workloads.generators import DEFAULT_WORKLOAD
 from repro.workloads.runtime import (
@@ -32,36 +25,16 @@ from repro.workloads.runtime import (
     schedule_events,
     workload_run_stats,
 )
-from repro.workloads.topology import (
-    TOPOLOGY_FAMILIES,
-    build_topology,
-    is_topology_spec,
-    parse_topology_spec,
-    synthesize_topology_trace,
-)
 
 __all__ = [
     "DEFAULT_WORKLOAD",
-    "POSITIONAL",
     "SendEvent",
-    "TOPOLOGY_FAMILIES",
+    "WORKLOADS",
     "Workload",
     "WorkloadError",
     "WorkloadSpec",
-    "all_workload_specs",
-    "available_workloads",
-    "build_topology",
-    "canonical_spec",
     "compile_workload",
     "events_horizon",
-    "get_workload_spec",
-    "is_topology_spec",
-    "parse_spec",
-    "parse_topology_spec",
-    "register_workload",
     "schedule_events",
-    "synthesize_topology_trace",
-    "unregister_workload",
-    "workload_names",
     "workload_run_stats",
 ]

@@ -40,11 +40,10 @@ from typing import Mapping
 from repro.harness import specstr
 from repro.traces.model import LossTrace
 from repro.workloads.registry import (
-    POSITIONAL,
+    WORKLOADS,
     SendEvent,
     WorkloadError,
     WorkloadSpec,
-    register_workload,
 )
 
 #: The family :class:`~repro.exec.jobs.RunJob` treats as the implicit
@@ -269,7 +268,7 @@ def _multi_source_factory(params: dict):
 # trace — pace with a named Yajnik trace
 # ----------------------------------------------------------------------
 def _trace_factory(params: dict):
-    name = _consume(params, "name") or _consume(params, POSITIONAL)
+    name = _consume(params, "name") or _consume(params, specstr.POSITIONAL)
     _reject_unknown(params, "trace")
     if not name:
         raise WorkloadError(
@@ -293,7 +292,7 @@ def _trace_factory(params: dict):
 # ----------------------------------------------------------------------
 # Registration (listing order = the grammar examples' order)
 # ----------------------------------------------------------------------
-register_workload(
+WORKLOADS.register(
     WorkloadSpec(
         name="cbr",
         factory=_cbr_factory,
@@ -301,7 +300,7 @@ register_workload(
         params_doc={"rate": "1 — pace multiplier over 1/period"},
     )
 )
-register_workload(
+WORKLOADS.register(
     WorkloadSpec(
         name="poisson",
         factory=_poisson_factory,
@@ -309,7 +308,7 @@ register_workload(
         params_doc={"rate": "1/period — mean packets per second"},
     )
 )
-register_workload(
+WORKLOADS.register(
     WorkloadSpec(
         name="zipf",
         factory=_zipf_factory,
@@ -323,7 +322,7 @@ register_workload(
         tags=("locality",),
     )
 )
-register_workload(
+WORKLOADS.register(
     WorkloadSpec(
         name="flash_crowd",
         factory=_flash_crowd_factory,
@@ -337,7 +336,7 @@ register_workload(
         tags=("bursty",),
     )
 )
-register_workload(
+WORKLOADS.register(
     WorkloadSpec(
         name="diurnal",
         factory=_diurnal_factory,
@@ -349,7 +348,7 @@ register_workload(
         },
     )
 )
-register_workload(
+WORKLOADS.register(
     WorkloadSpec(
         name="multi_source",
         factory=_multi_source_factory,
@@ -358,7 +357,7 @@ register_workload(
         tags=("any-source",),
     )
 )
-register_workload(
+WORKLOADS.register(
     WorkloadSpec(
         name="trace",
         factory=_trace_factory,

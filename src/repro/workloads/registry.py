@@ -28,9 +28,9 @@ A new family plugs in with one call:
 
 .. code-block:: python
 
-    from repro.workloads import WorkloadSpec, register_workload
+    from repro.workloads import WORKLOADS, WorkloadSpec
 
-    register_workload(WorkloadSpec(name="my-burst", factory=my_factory))
+    WORKLOADS.register(WorkloadSpec(name="my-burst", factory=my_factory))
 
 where ``my_factory(params)`` validates the raw parameter mapping and
 returns a ``generate(trace, rng)`` callable yielding :class:`SendEvent`.
@@ -94,64 +94,10 @@ class WorkloadSpec:
     tags: tuple[str, ...] = field(default=())
 
 
-#: One shared :class:`~repro.harness.registries.Registry` instance — the
-#: same helper behind protocols, selection policies, and cache policies.
-_REGISTRY: Registry[WorkloadSpec] = Registry("workload", error=WorkloadError)
-
-
-def register_workload(spec: WorkloadSpec, replace: bool = False) -> WorkloadSpec:
-    """Add ``spec`` to the registry.  Re-registering an existing name is an
-    error unless ``replace=True`` (tests swapping in doubles)."""
-    return _REGISTRY.register(spec, replace=replace)
-
-
-def unregister_workload(name: str) -> None:
-    """Remove a workload family (primarily for tests cleaning up doubles)."""
-    _REGISTRY.unregister(name)
-
-
-def get_workload_spec(name: str) -> WorkloadSpec:
-    """The spec registered under ``name``; raises :class:`WorkloadError`
-    (with the known names) otherwise."""
-    return _REGISTRY.get(name)
-
-
-def available_workloads() -> tuple[str, ...]:
-    """Registered workload family names, in registration order."""
-    return _REGISTRY.names()
-
-
-#: Consistent `*_names` alias matching the other registries.
-workload_names = available_workloads
-
-
-def all_workload_specs() -> tuple[WorkloadSpec, ...]:
-    return _REGISTRY.specs()
-
-
-# ----------------------------------------------------------------------
-# Spec-string grammar — the shared repro.harness.specstr parser, bound
-# to this surface's noun and error type.  Error wording is unchanged
-# from the pre-specstr parser (pinned by tests).
-# ----------------------------------------------------------------------
-#: The parameter key a bare (``key=``-less) token is stored under; a
-#: family taking one positional value reads it from here.
-POSITIONAL = specstr.POSITIONAL
-
-
-def parse_spec(spec: str) -> tuple[str, dict[str, str]]:
-    """``family:key=value,...`` -> ``(family, params)``.
-
-    A single bare token (no ``=``) is allowed as a positional value and
-    stored under :data:`POSITIONAL`; everything else must be ``key=value``.
-    """
-    return specstr.parse_spec(spec, label="workload", error=WorkloadError)
-
-
-def canonical_spec(family: str, params: Mapping[str, str]) -> str:
-    """The normalized spec string: family, then parameters sorted by key
-    (a positional value sorts first, rendered bare)."""
-    return specstr.canonical_spec(family, params)
+#: The workload surface (see :mod:`repro.harness.registries`); its
+#: spec-string error wording predates the shared grammar and is pinned
+#: by tests.
+WORKLOADS: Registry[WorkloadSpec] = Registry("workload", error=WorkloadError)
 
 
 class Workload:
@@ -166,7 +112,7 @@ class Workload:
     @property
     def spec(self) -> str:
         """The canonical spec string (what digests and summaries record)."""
-        return canonical_spec(self.name, self.params)
+        return specstr.canonical_spec(self.name, self.params)
 
     def events(self, trace: LossTrace, seed: int = 0) -> tuple[SendEvent, ...]:
         """The full, validated event stream for ``trace`` under ``seed``.
@@ -189,10 +135,8 @@ def compile_workload(spec: str) -> Workload:
     """Parse and validate ``spec`` into a :class:`Workload` (the single
     validation point — :class:`~repro.exec.jobs.RunJob` and the CLI both
     call this, so a typo fails before any simulation starts)."""
-    family, params = parse_spec(spec)
-    ws = get_workload_spec(family)
-    generate = ws.factory(dict(params))
-    return Workload(family, params, generate)
+    ws, params = WORKLOADS.resolve(spec)
+    return Workload(ws.name, params, ws.factory(dict(params)))
 
 
 def _validate_events(
@@ -232,18 +176,10 @@ def _validate_events(
 __all__ = [
     "Generator",
     "GeneratorFactory",
-    "POSITIONAL",
     "SendEvent",
+    "WORKLOADS",
     "Workload",
     "WorkloadError",
     "WorkloadSpec",
-    "all_workload_specs",
-    "available_workloads",
-    "canonical_spec",
     "compile_workload",
-    "get_workload_spec",
-    "parse_spec",
-    "register_workload",
-    "unregister_workload",
-    "workload_names",
 ]

@@ -19,16 +19,16 @@ class TestFacade:
         assert api.SimulationConfig is not None
         assert api.FaultPlan is not None
         assert api.ProtocolSpec is not None
-        assert callable(api.available_protocols)
+        assert "cesrm" in api.PROTOCOLS
 
     def test_facade_matches_deep_paths(self):
         from repro.faults import FaultPlan
-        from repro.harness.registry import available_protocols
+        from repro.harness.registry import PROTOCOLS
         from repro.harness.runner import run_trace
 
         assert api.run_trace is run_trace
         assert api.FaultPlan is FaultPlan
-        assert api.available_protocols is available_protocols
+        assert api.PROTOCOLS is PROTOCOLS
 
     def test_no_duplicate_exports(self):
         assert len(api.__all__) == len(set(api.__all__))

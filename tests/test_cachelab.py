@@ -5,6 +5,7 @@ strings that share the grammar."""
 import pytest
 
 from repro.core.cachelab import (
+    CACHE_POLICIES,
     CacheError,
     CachePolicy,
     CachePolicySpec,
@@ -15,13 +16,8 @@ from repro.core.cachelab import (
     RecoveryTuple,
     TtlCache,
     UnboundedCache,
-    all_cache_policy_specs,
-    cache_policy_names,
     compile_cache_policy,
-    get_cache_policy_spec,
     make_cache_policy,
-    register_cache_policy,
-    unregister_cache_policy,
 )
 from repro.core.policies import MostRecentLossPolicy
 from repro.faults import (
@@ -204,7 +200,7 @@ class TestUnbounded:
 
 class TestRegistryAndSpecs:
     def test_builtins_registered(self):
-        assert cache_policy_names() == (
+        assert CACHE_POLICIES.names() == (
             "paper",
             "lru",
             "lfu",
@@ -212,8 +208,8 @@ class TestRegistryAndSpecs:
             "prob",
             "unbounded",
         )
-        assert {s.name for s in all_cache_policy_specs()} == set(
-            cache_policy_names()
+        assert {s.name for s in CACHE_POLICIES.specs()} == set(
+            CACHE_POLICIES.names()
         )
 
     def test_unknown_family(self):
@@ -295,7 +291,7 @@ class TestRegistryAndSpecs:
             reject_unknown(params, "cache policy 'test-fifo'", CacheError)
             return lambda seed=0, host="", source="": FifoCache(capacity)
 
-        register_cache_policy(
+        CACHE_POLICIES.register(
             CachePolicySpec(name="test-fifo", factory=factory)
         )
         try:
@@ -305,13 +301,13 @@ class TestRegistryAndSpecs:
             cache.observe(tup(3))  # FIFO evicts 5, not min-seqno 1
             assert sorted(s.seqno for s in cache.entries()) == [1, 3]
             with pytest.raises(CacheError, match="already registered"):
-                register_cache_policy(
+                CACHE_POLICIES.register(
                     CachePolicySpec(name="test-fifo", factory=factory)
                 )
         finally:
-            unregister_cache_policy("test-fifo")
+            CACHE_POLICIES.unregister("test-fifo")
         with pytest.raises(CacheError, match="unknown cache policy"):
-            get_cache_policy_spec("test-fifo")
+            CACHE_POLICIES.get("test-fifo")
 
 
 class TestFaultSpecStrings:

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.cachelab import RecoveryPairCache, RecoveryTuple
 from repro.core.policies import (
+    SELECTION_POLICIES,
     MostFrequentLossPolicy,
     MostRecentLossPolicy,
     SelectionPolicy,
     make_policy,
-    policy_names,
     register_policy,
 )
 
@@ -58,8 +58,8 @@ class TestMostFrequent:
 
 class TestRegistry:
     def test_builtin_names(self):
-        assert "most-recent" in policy_names()
-        assert "most-frequent" in policy_names()
+        assert "most-recent" in SELECTION_POLICIES.names()
+        assert "most-frequent" in SELECTION_POLICIES.names()
 
     def test_make_policy(self):
         assert isinstance(make_policy("most-recent"), MostRecentLossPolicy)
@@ -85,9 +85,7 @@ class TestRegistry:
             cache.observe(tup(1, q="old"))
             assert policy.select(cache).requestor == "old"
         finally:
-            from repro.core.policies import unregister_policy
-
-            unregister_policy("test-oldest")
+            SELECTION_POLICIES.unregister("test-oldest")
 
     def test_register_requires_name(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import build_balanced_tree
 from repro.sim.engine import Simulator
-from repro.workloads.topology import synthesize_topology_trace
+from repro.net.families import synthesize_topology_trace
 
 SPEC = "transit_stub:transits=2,stubs=2,hosts=2,packets=150,loss=0.02"
 

@@ -381,7 +381,9 @@ class TestWorkloads:
         for family in ("cbr", "poisson", "zipf", "flash_crowd", "diurnal",
                        "multi_source", "trace"):
             assert family in out
-        assert "tree:depth" in out  # topology grammar footer
+        # topology grammar footer: every registered family, by construction
+        for family in ("tree", "transit_stub", "random_tree", "fat_tree"):
+            assert f"{family}:..." in out
 
     def test_run_with_workload_prints_stats(self, capsys):
         assert main(

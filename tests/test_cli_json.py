@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro.harness.cli import build_parser, main
-from repro.harness.registry import available_protocols
-from repro.workloads import available_workloads
+from repro.harness.registry import PROTOCOLS
+from repro.workloads import WORKLOADS
 
 
 def _json_out(capsys) -> dict:
@@ -18,7 +18,7 @@ class TestProtocolsJson:
     def test_lists_every_registered_protocol(self, capsys):
         assert main(["protocols", "--json"]) == 0
         data = _json_out(capsys)
-        assert [p["name"] for p in data["protocols"]] == list(available_protocols())
+        assert [p["name"] for p in data["protocols"]] == list(PROTOCOLS.names())
 
     def test_entry_shape(self, capsys):
         main(["protocols", "--json"])
@@ -31,7 +31,7 @@ class TestWorkloadsJson:
     def test_lists_every_workload(self, capsys):
         assert main(["workloads", "--json"]) == 0
         data = _json_out(capsys)
-        assert [w["name"] for w in data["workloads"]] == list(available_workloads())
+        assert [w["name"] for w in data["workloads"]] == list(WORKLOADS.names())
         assert data["topologies"]  # the tree: generative topology family
 
     def test_params_documented(self, capsys):

@@ -159,6 +159,43 @@ class TestListing:
         assert len(set(listed)) == 2
         assert sum("kernel=vector" in line for line in listed) == 1
 
+    def test_jobs_differing_only_in_fault_plan_list_differently(
+        self, cache, capsys
+    ):
+        import dataclasses
+        import hashlib
+
+        from repro.faults import FaultPlan, NodeCrash
+        from repro.harness.cli import main
+
+        jobs = [
+            dataclasses.replace(
+                JOB, faults=FaultPlan((NodeCrash(host="r1", at=at),))
+            )
+            for at in (1.0, 2.0)
+        ]
+        labels = [
+            "faults=1:"
+            + hashlib.sha256(job.faults.to_json().encode()).hexdigest()[:8]
+            for job in jobs
+        ]
+        assert labels[0] != labels[1]
+        assert "faults" not in JOB.describe()
+        for job, label in zip(jobs, labels):
+            assert job.describe().endswith("/" + label)
+            cache.put(job, FP, SUMMARY)
+        cache.put(JOB, FP, SUMMARY)
+        assert main(["cache", "--cache-dir", str(cache.directory)]) == 0
+        listed = [
+            line.split("(")[0]  # drop the entry size
+            for line in capsys.readouterr().out.splitlines()
+            if "WRN951113" in line
+        ]
+        assert len(set(listed)) == 3
+        for label in labels:
+            assert sum(label in line for line in listed) == 1
+        assert sum("faults=" in line for line in listed) == 2
+
 
 class TestMaintenance:
     def test_entries_listing(self, cache):

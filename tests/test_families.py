@@ -3,14 +3,11 @@
 import pytest
 
 from repro.net.families import (
+    TOPOLOGIES,
     TopologyError,
-    all_topology_specs,
     build_topology,
-    canonical_topology_spec,
-    get_topology_spec,
     parse_topology_spec,
     synthesize_topology_trace,
-    topology_names,
 )
 from repro.net.topology import NodeKind
 
@@ -18,18 +15,18 @@ from repro.net.topology import NodeKind
 class TestRegistry:
     def test_builtin_families_listed(self):
         for name in ("tree", "transit_stub", "random_tree", "fat_tree"):
-            assert name in topology_names()
+            assert name in TOPOLOGIES.names()
 
     def test_specs_carry_docs_and_tags(self):
-        for spec in all_topology_specs():
+        for spec in TOPOLOGIES.specs():
             assert spec.description
             assert set(spec.params_doc) == set(spec.defaults)
-        assert get_topology_spec("tree").calibrated
-        assert not get_topology_spec("transit_stub").calibrated
+        assert TOPOLOGIES.get("tree").calibrated
+        assert not TOPOLOGIES.get("transit_stub").calibrated
 
     def test_unknown_family_rejected(self):
         with pytest.raises(TopologyError):
-            get_topology_spec("mesh")
+            TOPOLOGIES.get("mesh")
         with pytest.raises(TopologyError):
             build_topology("mesh:size=4")
 
@@ -38,11 +35,11 @@ class TestRegistry:
             parse_topology_spec("transit_stub:transits=2,depth=3")
 
     def test_canonical_spec_sorts_user_params_only(self):
-        assert canonical_topology_spec(
+        assert TOPOLOGIES.canonical(
             "transit_stub:stubs=2,transits=4"
-        ) == canonical_topology_spec("transit_stub:transits=4,stubs=2")
+        ) == TOPOLOGIES.canonical("transit_stub:transits=4,stubs=2")
         # defaults stay implicit
-        assert "hosts" not in canonical_topology_spec("transit_stub:transits=4")
+        assert "hosts" not in TOPOLOGIES.canonical("transit_stub:transits=4")
 
 
 class TestShapes:
@@ -82,7 +79,7 @@ class TestShapes:
 class TestSynthesis:
     def test_trace_named_canonically(self):
         trace = synthesize_topology_trace("transit_stub:stubs=2,transits=2")
-        assert trace.trace.name == canonical_topology_spec(
+        assert trace.trace.name == TOPOLOGIES.canonical(
             "transit_stub:transits=2,stubs=2"
         )
 

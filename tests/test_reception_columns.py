@@ -22,7 +22,7 @@ from repro.exec.summary import RunSummary
 from repro.faults import FaultPlan
 from repro.faults.plan import NodeCrash, PacketDuplicate, PacketReorder
 from repro.harness.config import SimulationConfig
-from repro.harness.registry import ProtocolSpec, register, unregister
+from repro.harness.registry import PROTOCOLS, ProtocolSpec
 from repro.metrics.collector import MetricsCollector
 from repro.net.families import synthesize_topology_trace
 from repro.net.network import Network
@@ -367,8 +367,8 @@ def test_subclass_overriding_the_data_path_sees_every_packet(monkeypatch):
 
     trace = _trace(LOSSFREE_SEED)
     receivers = len(trace.trace.tree.receivers)
-    register(ProtocolSpec(name="watcher", agent_cls=Watcher))
-    register(ProtocolSpec(name="bystander", agent_cls=Bystander))
+    PROTOCOLS.register(ProtocolSpec(name="watcher", agent_cls=Watcher))
+    PROTOCOLS.register(ProtocolSpec(name="bystander", agent_cls=Bystander))
     try:
         config = _config("vector")
         watched = _run(trace, "watcher", config, monkeypatch)
@@ -378,8 +378,8 @@ def test_subclass_overriding_the_data_path_sees_every_packet(monkeypatch):
         assert plain[2]["scalar_deliveries"] == 0
         assert watched[1] == plain[1]
     finally:
-        unregister("watcher")
-        unregister("bystander")
+        PROTOCOLS.unregister("watcher")
+        PROTOCOLS.unregister("bystander")
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.harness.config import SimulationConfig
-from repro.harness.registry import available_protocols
+from repro.harness.registry import PROTOCOLS
 from repro.harness.runner import build_simulation, run_trace
 from repro.net.packet import PacketKind
 from repro.traces.synthesize import SynthesisParams, synthesize_trace
@@ -69,7 +69,7 @@ class TestBuildSimulation:
 
     def test_protocol_registry_covers_all(self):
         synthetic = small_synthetic(n_packets=50, target=20)
-        for protocol in available_protocols():
+        for protocol in PROTOCOLS.names():
             simulation = build_simulation(synthetic, protocol, SimulationConfig())
             assert simulation.source_agent.is_source
 
@@ -251,16 +251,16 @@ class TestPayPerUseConstruction:
     @pytest.mark.parametrize("churn", ["", "churn:rate=3,leave=0.3,start=0.5,until=5s"])
     def test_extra_agent_kwargs_called_once_per_build(self, churn):
         from repro.core.agent import CesrmAgent
-        from repro.harness.registry import ProtocolSpec, get_spec, register, unregister
+        from repro.harness.registry import ProtocolSpec
 
         calls = []
-        cesrm = get_spec("cesrm")
+        cesrm = PROTOCOLS.get("cesrm")
 
         def spy(config):
             calls.append(config)
             return cesrm.agent_kwargs(config)
 
-        register(ProtocolSpec(name="spied-cesrm", agent_cls=CesrmAgent, agent_kwargs=spy))
+        PROTOCOLS.register(ProtocolSpec(name="spied-cesrm", agent_cls=CesrmAgent, agent_kwargs=spy))
         try:
             config = SimulationConfig(seed=1, cache="lru:capacity=4")
             simulation = build_simulation(
@@ -268,7 +268,7 @@ class TestPayPerUseConstruction:
             )
             simulation.sim.run(until=simulation.end_time)
         finally:
-            unregister("spied-cesrm")
+            PROTOCOLS.unregister("spied-cesrm")
         assert calls == [config]
         agents = list(simulation.agents.values())
         if churn:

@@ -18,7 +18,7 @@ from repro.harness.runner import run_trace
 from repro.net.topology import build_balanced_tree
 from repro.srm.session import DistanceEstimator, TreeDistanceOracle
 from repro.srm.state import ReplyState, SeqSet, StreamState
-from repro.workloads.topology import synthesize_topology_trace
+from repro.net.families import synthesize_topology_trace
 
 
 class TestSeqSet:

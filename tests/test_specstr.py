@@ -1,7 +1,7 @@
 """The shared spec-string grammar (`repro.harness.specstr`).
 
 The wording pins matter: the grammar predates this module (it was the
-workloads parser), and `repro.workloads.registry.parse_spec` must keep
+workloads parser), and the workload surface's `WORKLOADS.resolve` must keep
 raising `WorkloadError` with exactly the legacy messages now that it
 delegates here.
 """
@@ -20,8 +20,7 @@ from repro.harness.specstr import (
     parse_spec,
     reject_unknown,
 )
-from repro.workloads import WorkloadError
-from repro.workloads import parse_spec as parse_workload_spec
+from repro.workloads import WORKLOADS, WorkloadError
 
 
 class TestParseSpec:
@@ -74,18 +73,18 @@ class TestParseSpec:
 
     def test_workload_parser_delegates_with_legacy_wording(self):
         """The workloads surface keeps its exact pre-extraction errors."""
-        assert parse_workload_spec("zipf:alpha=1.1") == (
-            "zipf",
+        assert WORKLOADS.resolve("zipf:alpha=1.1") == (
+            WORKLOADS.get("zipf"),
             {"alpha": "1.1"},
         )
         with pytest.raises(WorkloadError, match="empty workload spec"):
-            parse_workload_spec("")
+            WORKLOADS.resolve("")
         with pytest.raises(WorkloadError, match="has a trailing ':'"):
-            parse_workload_spec("zipf:")
+            WORKLOADS.resolve("zipf:")
         with pytest.raises(
             WorkloadError, match="duplicate parameter 'alpha'"
         ):
-            parse_workload_spec("zipf:alpha=1,alpha=2")
+            WORKLOADS.resolve("zipf:alpha=1,alpha=2")
 
 
 class TestCanonicalSpec:

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.workloads import WorkloadError, build_topology, synthesize_topology_trace
-from repro.workloads.topology import (
+from repro.net.families import (
     TREE_DEFAULTS,
+    TopologyError,
+    build_topology,
     is_topology_spec,
     parse_topology_spec,
+    synthesize_topology_trace,
 )
 
 
@@ -49,7 +51,7 @@ class TestParse:
         ],
     )
     def test_invalid_specs_rejected(self, bad):
-        with pytest.raises(WorkloadError):
+        with pytest.raises(TopologyError):
             parse_topology_spec(bad)
 
 

@@ -9,16 +9,11 @@ from repro.harness.config import SimulationConfig
 from repro.harness.runner import run_trace
 from repro.traces.synthesize import SynthesisParams, synthesize_trace
 from repro.workloads import (
+    WORKLOADS,
     SendEvent,
     WorkloadError,
     WorkloadSpec,
-    all_workload_specs,
-    available_workloads,
     compile_workload,
-    get_workload_spec,
-    parse_spec,
-    register_workload,
-    unregister_workload,
 )
 
 CFG = SimulationConfig(seed=11)
@@ -46,10 +41,10 @@ def trace(synthetic):
 
 class TestRegistry:
     def test_at_least_five_families(self):
-        assert len(available_workloads()) >= 5
+        assert len(WORKLOADS.names()) >= 5
 
     def test_builtins_registered(self):
-        names = available_workloads()
+        names = WORKLOADS.names()
         for family in (
             "cbr", "poisson", "zipf", "flash_crowd", "diurnal",
             "multi_source", "trace",
@@ -57,7 +52,7 @@ class TestRegistry:
             assert family in names
 
     def test_get_spec(self):
-        assert get_workload_spec("zipf").name == "zipf"
+        assert WORKLOADS.get("zipf").name == "zipf"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(WorkloadError, match="unknown workload"):
@@ -65,33 +60,33 @@ class TestRegistry:
 
     def test_register_unregister_round_trip(self):
         spec = WorkloadSpec(name="test-double", factory=lambda p: None)
-        register_workload(spec)
+        WORKLOADS.register(spec)
         try:
-            assert "test-double" in available_workloads()
+            assert "test-double" in WORKLOADS.names()
             with pytest.raises(WorkloadError, match="already registered"):
-                register_workload(spec)
-            register_workload(spec, replace=True)  # tests may swap doubles
+                WORKLOADS.register(spec)
+            WORKLOADS.register(spec, replace=True)  # tests may swap doubles
         finally:
-            unregister_workload("test-double")
-        assert "test-double" not in available_workloads()
+            WORKLOADS.unregister("test-double")
+        assert "test-double" not in WORKLOADS.names()
 
     def test_all_specs_in_registration_order(self):
-        names = [s.name for s in all_workload_specs()]
-        assert names == list(available_workloads())
+        names = [s.name for s in WORKLOADS.specs()]
+        assert names == list(WORKLOADS.names())
 
 
 class TestGrammar:
     def test_bare_family(self):
-        assert parse_spec("cbr") == ("cbr", {})
+        assert WORKLOADS.resolve("cbr") == (WORKLOADS.get("cbr"), {})
 
     def test_key_value_params(self):
-        family, params = parse_spec("zipf:alpha=1.1,objects=500")
-        assert family == "zipf"
+        family, params = WORKLOADS.resolve("zipf:alpha=1.1,objects=500")
+        assert family.name == "zipf"
         assert params == {"alpha": "1.1", "objects": "500"}
 
     def test_positional_value(self):
-        family, params = parse_spec("trace:WRN951128")
-        assert family == "trace"
+        family, params = WORKLOADS.resolve("trace:WRN951128")
+        assert family.name == "trace"
         assert params == {"": "WRN951128"}
 
     def test_canonical_spec_sorts_params(self):
@@ -205,13 +200,13 @@ class TestFamilies:
 
 class TestValidation:
     def _with_double(self, factory):
-        register_workload(
+        WORKLOADS.register(
             WorkloadSpec(name="bad-double", factory=factory), replace=True
         )
         return compile_workload("bad-double")
 
     def teardown_method(self):
-        unregister_workload("bad-double")
+        WORKLOADS.unregister("bad-double")
 
     def test_unknown_sender_rejected(self, trace):
         workload = self._with_double(
