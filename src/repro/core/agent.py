@@ -19,12 +19,18 @@ recovery scheme:
   they repair co-losers and suppress SRM's scheduled requests/replies —
   and when the expedited path fails (replier shares the loss), SRM's
   scheme is already running as the fall-back.
+
+An idle host pays for none of it: the selection policy is instantiated at
+the host's first cache lookup, and the three per-host maps (``caches``,
+pending and in-flight expedited requests) are created by their first
+write — until then a read answers "empty".
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from repro.core.cachelab import (
     CachePolicy,
@@ -32,7 +38,7 @@ from repro.core.cachelab import (
     RecoveryPairCache,
     RecoveryTuple,
 )
-from repro.core.policies import SelectionPolicy, make_policy
+from repro.core.policies import SELECTION_POLICIES, SelectionPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.net.network import Network
 from repro.net.packet import CONTROL_BYTES, PAYLOAD_BYTES, Packet, PacketKind
@@ -43,6 +49,9 @@ from repro.srm.agent import SrmAgent, column_safe
 from repro.srm.constants import SrmParams
 from repro.srm.state import ReplyState, RequestState
 
+#: What :attr:`CesrmAgent.caches` reads as before the first cache exists.
+_NO_CACHES: Mapping[str, CachePolicy] = MappingProxyType({})
+
 
 class CesrmAgent(SrmAgent):
     """A CESRM endpoint: SRM plus caching-based expedited recovery.
@@ -51,8 +60,9 @@ class CesrmAgent(SrmAgent):
     ----------------------------------------------------------
     policy:
         The expeditious-pair selection policy (§3.2), or the registered
-        name of one — instantiated here, so every host keeps a policy
-        object of its own.
+        name of one — resolved here, instantiated at the first cache
+        lookup, so every host that looks one up keeps a policy object of
+        its own.
     cache_capacity:
         Number of recovery tuples kept per source (§3.1); the paper's
         most-recent-loss policy needs only 1, larger caches feed the
@@ -73,6 +83,25 @@ class CesrmAgent(SrmAgent):
 
     protocol_name = "cesrm"
 
+    __slots__ = (
+        "_policy",
+        "cache_capacity",
+        "reorder_delay",
+        "cache_policy",
+        "cache_seed",
+        "_caches",
+        "_expedited",
+        "_erqst_inflight",
+        "evict_on_failure",
+        "expedited_scheduled",
+        "expedited_cancelled",
+        "repliers_evicted",
+        "erqst_received",
+        "erqst_answered",
+        "erqst_shared_loss",
+        "erqst_suppressed",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -80,7 +109,7 @@ class CesrmAgent(SrmAgent):
         host_id: str,
         source: str,
         params: SrmParams,
-        rng: random.Random | Callable[[], random.Random],
+        rng: random.Random | Callable[[str], random.Random],
         metrics: MetricsCollector,
         policy: SelectionPolicy | str,
         cache_capacity: int = 16,
@@ -103,20 +132,24 @@ class CesrmAgent(SrmAgent):
         )
         if reorder_delay < 0:
             raise ValueError(f"reorder_delay must be >= 0, got {reorder_delay!r}")
-        self.policy = make_policy(policy) if isinstance(policy, str) else policy
+        #: A policy instance, or the registered class until the first lookup.
+        self._policy: SelectionPolicy | type[SelectionPolicy] = (
+            SELECTION_POLICIES.get(policy) if isinstance(policy, str) else policy
+        )
         self.cache_capacity = cache_capacity
         self.reorder_delay = reorder_delay
         self.cache_policy = cache_policy
         self.cache_seed = cache_seed
+        # The three maps below are None until their first write.
         #: per-source optimal requestor/replier caches (§3.1) — any
         #: :mod:`repro.core.cachelab` policy; ``paper`` by default.
-        self.caches: dict[str, CachePolicy] = {}
+        self._caches: dict[str, CachePolicy] | None = None
         #: (source, seq) -> (timer, chosen tuple) for pending expedited requests.
-        self._expedited: dict[tuple[str, int], tuple[Timer, RecoveryTuple]] = {}
+        self._expedited: dict[tuple[str, int], tuple[Timer, RecoveryTuple]] | None = None
         #: (source, seq) -> chosen tuple for expedited requests already on
         #: the wire, kept until the packet is obtained so a failed attempt
         #: can be attributed to its replier.
-        self._erqst_inflight: dict[tuple[str, int], RecoveryTuple] = {}
+        self._erqst_inflight: dict[tuple[str, int], RecoveryTuple] | None = None
         #: Fault injection (repro.faults): when armed, a loss that an
         #: expedited request failed to recover (SRM repaired it instead)
         #: evicts the chosen replier's tuples from the cache, forcing the
@@ -136,9 +169,19 @@ class CesrmAgent(SrmAgent):
     # ------------------------------------------------------------------
     # Per-source caches
     # ------------------------------------------------------------------
+    @property
+    def caches(self) -> Mapping[str, CachePolicy]:
+        """The per-source caches created so far, by source (read-only;
+        :meth:`cache_for` creates one)."""
+        caches = self._caches
+        return _NO_CACHES if caches is None else caches
+
     def cache_for(self, source: str) -> CachePolicy:
         """The recovery-tuple cache for ``source`` (created on demand)."""
-        cache = self.caches.get(source)
+        caches = self._caches
+        if caches is None:
+            caches = self._caches = {}
+        cache = caches.get(source)
         if cache is None:
             if self.cache_policy is None:
                 cache = RecoveryPairCache(self.cache_capacity)
@@ -146,13 +189,21 @@ class CesrmAgent(SrmAgent):
                 cache = self.cache_policy.make(
                     seed=self.cache_seed, host=self.host_id, source=source
                 )
-            self.caches[source] = cache
+            caches[source] = cache
         return cache
 
     @property
     def cache(self) -> CachePolicy:
         """The primary source's cache (single-source convenience)."""
         return self.cache_for(self.primary_source)
+
+    @property
+    def policy(self) -> SelectionPolicy:
+        """This host's selection policy (instantiated on first use)."""
+        policy = self._policy
+        if isinstance(policy, type):
+            policy = self._policy = policy()
+        return policy
 
     # ------------------------------------------------------------------
     # Hook: loss detected -> maybe act as expeditious requestor (§3.2)
@@ -185,6 +236,8 @@ class CesrmAgent(SrmAgent):
         if choice.replier == self.host_id:
             return  # degenerate tuple; cannot ask ourselves
         timer = Timer(self.sim, self._expedited_timer_fired, src, seq)
+        if self._expedited is None:
+            self._expedited = {}
         self._expedited[(src, seq)] = (timer, choice)
         timer.start(self.reorder_delay)
         self.expedited_scheduled += 1
@@ -219,6 +272,8 @@ class CesrmAgent(SrmAgent):
         )
         self.metrics.on_send(self.host_id, packet)
         self.net.unicast(choice.replier, packet)
+        if self._erqst_inflight is None:
+            self._erqst_inflight = {}
         self._erqst_inflight[(src, seq)] = choice
         if self.sim.tracer is not None:
             self.sim.tracer.emit(
@@ -317,7 +372,8 @@ class CesrmAgent(SrmAgent):
     def _on_reply_observed(self, packet: Packet) -> None:
         src = packet.source
         seq = packet.seqno
-        inflight = self._erqst_inflight.pop((src, seq), None)
+        on_wire = self._erqst_inflight
+        inflight = None if on_wire is None else on_wire.pop((src, seq), None)
         if (
             inflight is not None
             and self.evict_on_failure
@@ -403,14 +459,19 @@ class CesrmAgent(SrmAgent):
         super()._on_data(packet)
         # Data outran the expedited exchange (reordering): the attempt is
         # moot, not a replier failure — just forget it.
-        self._erqst_inflight.pop((packet.source, packet.seqno), None)
+        on_wire = self._erqst_inflight
+        if on_wire is not None:
+            on_wire.pop((packet.source, packet.seqno), None)
 
     # ------------------------------------------------------------------
     # Hook: packet obtained -> cancel any pending expedited request
     # ------------------------------------------------------------------
     @column_safe
     def _on_packet_obtained(self, src: str, seq: int) -> None:
-        entry = self._expedited.pop((src, seq), None)
+        pending = self._expedited
+        if pending is None:
+            return
+        entry = pending.pop((src, seq), None)
         if entry is not None:
             entry[0].cancel()
             self.expedited_cancelled += 1
@@ -426,5 +487,6 @@ class CesrmAgent(SrmAgent):
 
     def stop(self) -> None:
         super().stop()
-        for timer, _ in self._expedited.values():
-            timer.cancel()
+        if self._expedited is not None:
+            for timer, _ in self._expedited.values():
+                timer.cancel()

@@ -36,6 +36,8 @@ class RouterAssistedCesrmAgent(CesrmAgent):
 
     protocol_name = "cesrm-router"
 
+    __slots__ = ()
+
     def _tuple_from_reply(self, packet: Packet) -> RecoveryTuple:
         """Augment cached tuples with the reply's turning point.
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any
 
 from repro.faults import FaultInjector, FaultPlan, recovery_loss_rule, trace_drop_rule
@@ -232,8 +231,8 @@ def build_simulation(
 
     fabric = spec.build_fabric(tree)
 
-    # Everything but the host's name and random stream is per run, not
-    # per host: resolved once here, shared by every agent.
+    # Everything but the host's name is per run, not per host: resolved
+    # once here, shared by every agent.
     agent_cls = spec.agent_cls
     shared_kwargs: dict = dict(
         sim=sim,
@@ -249,15 +248,18 @@ def build_simulation(
         shared_kwargs.update(fabric=fabric)
     stream = registry.stream
 
+    def agent_stream(host: str):
+        return stream(f"agent:{host}")
+
+    # Every agent draws jitter from its own named stream, so membership
+    # changes never perturb another host's randomness.  Streams are
+    # hash-derived from (seed, name), so an agent asks this one shared
+    # factory for its own on the first draw — most hosts never draw.
+    shared_kwargs.update(rng=agent_stream)
+
     def make_agent(host: str) -> SrmAgent:
-        # One recipe for initial members and churn joiners alike: every
-        # agent draws jitter from its own named stream, so membership
-        # changes never perturb another host's randomness.  Streams are
-        # hash-derived from (seed, name), so the agent resolves its own
-        # on the first draw — most hosts never draw.
-        return agent_cls(
-            host_id=host, rng=partial(stream, f"agent:{host}"), **shared_kwargs
-        )
+        # One recipe for initial members and churn joiners alike.
+        return agent_cls(host_id=host, **shared_kwargs)
 
     agents: dict[str, SrmAgent] = {host: make_agent(host) for host in tree.hosts}
 

@@ -41,6 +41,8 @@ class LmsAgent(SrmAgent):
     #: before being dropped (the requestor's retry covers the rest).
     MAX_FORWARDS = 3
 
+    __slots__ = ("fabric", "nack_delay", "nacks_sent", "repairs_sent", "nacks_forwarded")
+
     def __init__(
         self,
         sim: Simulator,

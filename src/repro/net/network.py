@@ -28,7 +28,8 @@ oracle the columnar path is differential-tested against.
 Internally every mode runs on the integer-indexed forwarding kernel: node
 ids are interned once through the tree's :class:`~repro.net.index
 .TopologyIndex`, each directed hop is a prebuilt record carrying its
-endpoint names and :class:`LinkState`, unicast walks a precomputed integer
+endpoint names and :class:`LinkState` (python kernel; the vector kernel's
+link columns replace both), unicast walks a precomputed integer
 path, and arrivals go through the engine's raw no-``Event`` scheduling
 path.  The observable contract is unchanged: loss hooks, fault-injector
 hop rules, and trace events all still see string node ids.
@@ -207,7 +208,6 @@ class Network:
         self.packets_dropped = 0
         self.packets_delivered = 0
         self._agents: dict[str, Agent] = {}
-        self._links: dict[tuple[str, str], LinkState] = {}
         #: Node ids removed by :meth:`detach_subtree` (membership churn).
         #: Unicasts addressed to them — or crossing their removed links
         #: mid-flight — die like any other loss instead of erroring.
@@ -225,6 +225,32 @@ class Network:
         self._names = index.names
         #: Agent slot per interned node id (None at routers / unattached).
         self._agents_by_id: list[Agent | None] = [None] * n
+        #: Kernel v2 (``kernel="vector"``): delegate the send primitives to
+        #: the numpy delivery-wave engine.  None — the default — keeps the
+        #: pure-python per-hop path, the oracle the vector kernel is
+        #: byte-equivalence-tested against.
+        self._vk = None
+        #: Receivers as rows (:mod:`repro.net.columns`): in-order DATA
+        #: reception state of every seated host, advanced by the vector
+        #: kernel's waves.  None under the python kernel, which stays the
+        #: all-scalar oracle — every agent then holds its own state.
+        self._columns = None
+        if kernel == "vector":
+            from repro.net.columns import ReceptionColumns
+            from repro.net.vector import VectorKernel
+
+            # The kernel's link columns are the only link state, and it
+            # fans out over the index itself: none of the per-hop records
+            # below is built.
+            self._links = self._hop_record = self._adj = self._child_adj = None
+            self._columns = ReceptionColumns(n)
+            self._vk = VectorKernel(self)
+            return
+        if kernel != "python":
+            raise ValueError(
+                f"unknown kernel {kernel!r} (expected 'python' or 'vector')"
+            )
+        self._links: dict[tuple[str, str], LinkState] = {}
         #: Directed-hop records ``(to_id, from_name, to_name, link)`` —
         #: everything one transmission touches, resolved once at build time.
         #: ``_adj`` fans out children-first-then-parent (the flood order);
@@ -252,26 +278,6 @@ class Network:
             tuple(hop_record[node << _HOP_SHIFT | nb] for nb in index.neighbors[node])
             for node in range(n)
         ]
-        #: Kernel v2 (``kernel="vector"``): delegate the send primitives to
-        #: the numpy delivery-wave engine.  None — the default — keeps the
-        #: pure-python per-hop path, the oracle the vector kernel is
-        #: byte-equivalence-tested against.
-        self._vk = None
-        #: Receivers as rows (:mod:`repro.net.columns`): in-order DATA
-        #: reception state of every seated host, advanced by the vector
-        #: kernel's waves.  None under the python kernel, which stays the
-        #: all-scalar oracle — every agent then holds its own state.
-        self._columns = None
-        if kernel == "vector":
-            from repro.net.columns import ReceptionColumns
-            from repro.net.vector import VectorKernel
-
-            self._columns = ReceptionColumns(n)
-            self._vk = VectorKernel(self)
-        elif kernel != "python":
-            raise ValueError(
-                f"unknown kernel {kernel!r} (expected 'python' or 'vector')"
-            )
 
     # ------------------------------------------------------------------
     # Attachment
@@ -353,19 +359,25 @@ class Network:
     def attach_receiver(self, name: str, parent: str) -> int:
         """Grow the network for a joining receiver: patch the tree and
         index, create the two directed links, and extend the adjacency
-        records.  The caller attaches the agent afterwards (normally via
-        the agent's constructor).  Returns the receiver's node id."""
+        records (under the vector kernel: have it intern fresh edges).
+        The caller attaches the agent afterwards (normally via the
+        agent's constructor).  Returns the receiver's node id."""
         self.tree.attach_receiver(name, parent)
         index = self._index
         nid = self._ids[name]
         pid = self._ids[parent]
         self._detached_ids.discard(nid)
+        if self._vk is not None:
+            self._agents_by_id.extend([None] * (index.n - len(self._agents_by_id)))
+            self._columns.grow(index.n)
+            # Fresh links get fresh columnar state: dropping the hop keys
+            # forces the rejoined edges to intern new zeroed ids.
+            self._vk.invalidate(pid << _HOP_SHIFT | nid, nid << _HOP_SHIFT | pid)
+            return nid
         while len(self._agents_by_id) < index.n:
             self._agents_by_id.append(None)
             self._adj.append(())
             self._child_adj.append(())
-        if self._columns is not None:
-            self._columns.grow(index.n)
         names = self._names
         hop_record = self._hop_record
         for u, v in ((pid, nid), (nid, pid)):
@@ -379,12 +391,6 @@ class Network:
             hop_record[u << _HOP_SHIFT | v] = (v, names[u], names[v], link)
         self._rebuild_adjacency(nid)
         self._rebuild_adjacency(pid)
-        if self._vk is not None:
-            # Fresh links get fresh columnar state too: dropping the hop
-            # keys forces the rejoined edges to intern new zeroed ids.
-            self._vk.invalidate(
-                pid << _HOP_SHIFT | nid, nid << _HOP_SHIFT | pid
-            )
         return nid
 
     def detach_subtree(self, name: str) -> tuple[str, ...]:
@@ -402,27 +408,28 @@ class Network:
             self._detached_ids.add(rid)
             self._agents.pop(rname, None)
             self._agents_by_id[rid] = None
-            if self._columns is not None:
+            prid = index.parent[rid]  # tombstones keep their parent pointer
+            if self._vk is not None:
                 self._unseat(rid)
+                self._vk.invalidate(prid << _HOP_SHIFT | rid, rid << _HOP_SHIFT | prid)
+                continue
             self._adj[rid] = ()
             self._child_adj[rid] = ()
-            prid = index.parent[rid]  # tombstones keep their parent pointer
             for u, v in ((prid, rid), (rid, prid)):
                 self._links.pop((names[u], names[v]), None)
                 hop_record.pop(u << _HOP_SHIFT | v, None)
-                if self._vk is not None:
-                    self._vk.invalidate(u << _HOP_SHIFT | v)
-        self._rebuild_adjacency(pid)
+        if self._vk is None:
+            self._rebuild_adjacency(pid)
         return removed
 
     def link_state(self, u: str, v: str) -> LinkState:
-        """The directed link state for the hop ``u -> v``."""
-        link = self._links[(u, v)]
+        """The directed link state for the hop ``u -> v`` (KeyError when
+        there is no such live hop).  Under the vector kernel the columns
+        are the only link state, and the object is built from them on
+        every read: a snapshot, not a live view."""
         if self._vk is not None:
-            # Vector mode: the columnar arrays are the live authority;
-            # sync the legacy object on read.
-            self._vk.sync_link(self._ids[u], self._ids[v], link)
-        return link
+            return self._vk.link_state(self._ids[u], self._ids[v])
+        return self._links[(u, v)]
 
     def kernel_stats(self) -> dict[str, int]:
         """Always-on forwarding-kernel counters; not part of any run

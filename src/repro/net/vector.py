@@ -29,9 +29,10 @@ link math in the python kernel's float-op order — never does.
   request or reply flood from a leaf is thousands of waves of a handful
   of nodes, where one numpy call costs more than the whole wave.
 * **numpy** (frontier at or above the crossover): CSR gathers expand the
-  whole hop generation (rows in exact ``_adj`` order), deterministic
-  trace losses are one ``np.isin`` over per-seqno edge-id arrays, link
-  state advances elementwise, ``np.unique`` groups the arrivals.
+  whole hop generation (rows in the python kernel's ``_adj`` order),
+  deterministic trace losses are one ``np.isin`` over per-seqno edge-id
+  arrays, link state advances elementwise, ``np.unique`` groups the
+  arrivals.
 
 A wave's lists become ``int32`` arrays (or back) only when it crosses
 the crossover, so a low-fan-out flood still coalesces 1 → 2 → 4 → … on
@@ -49,10 +50,11 @@ counters, summary bytes — must match the python kernel exactly
 (``tests/test_kernel_equivalence.py`` gates this, under both executors).
 Two rules keep that true:
 
-* **Single authority.**  In vector mode the columns are the only live
-  link state; every send primitive (multicast, unicast, subcast) runs
-  on them.  ``Network.link_state`` syncs the legacy ``LinkState`` object
-  from the columns on read.
+* **Single authority.**  In vector mode the columns are the only link
+  state — the network builds no ``LinkState`` objects or per-hop records
+  at all — and every send primitive (multicast, unicast, subcast) runs
+  on them.  ``Network.link_state`` builds a ``LinkState`` from the
+  columns on read.
 * **Hooks only on the loop.**  A wave is *hooked* when something can
   observe or decide individual hops: a tracer, a ``drop_fn``, an active
   outage, or any fault rule that is not a recognised deterministic
@@ -87,6 +89,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.net.link import LinkState
 from repro.net.network import _DATA_KIND, _HOP_SHIFT
 
 #: Frontier size at which a wave moves from the python loop to numpy.
@@ -112,20 +115,23 @@ _COLUMNS = (
 
 class _Rows(dict):
     """The loop executor's adjacency: node -> ``((to, eid), ...)`` in
-    ``adj`` order, built the first time a small wave visits the node —
+    fan-out order, built the first time a small wave visits the node —
     large frontiers never pay for rows they cross on numpy."""
 
-    __slots__ = ("_adj", "_edge_of")
+    __slots__ = ("_fan_out", "_alive", "_edge_of")
 
-    def __init__(self, adj: list, edge_of: dict[int, int]) -> None:
-        self._adj = adj
+    def __init__(self, fan_out: list, alive: bytearray, edge_of: dict[int, int]) -> None:
+        self._fan_out = fan_out
+        self._alive = alive
         self._edge_of = edge_of
 
     def __missing__(self, node: int) -> tuple:
         edge_of = self._edge_of
         base = node << _HOP_SHIFT
-        row = self[node] = tuple(
-            (record[0], edge_of[base | record[0]]) for record in self._adj[node]
+        row = self[node] = (
+            tuple((to, edge_of[base | to]) for to in self._fan_out[node])
+            if self._alive[node]
+            else ()
         )
         return row
 
@@ -155,9 +161,10 @@ class VectorKernel:
             setattr(self, view, np.frombuffer(column, dtype=code))
         # -- adjacency (rebuilt lazily after churn) --------------------
         self._dirty = True
-        #: Flood (``_adj``) and subcast (``_child_adj``) fan-out, twice
-        #: over: CSR tables ``(ptr, to, edge)`` for the numpy executor,
-        #: lazily filled :class:`_Rows` for the loop.  Set by _rebuild.
+        #: Flood (``index.neighbors``) and subcast (``index.children``)
+        #: fan-out, twice over: CSR tables ``(ptr, to, edge)`` for the
+        #: numpy executor, lazily filled :class:`_Rows` for the loop.  Set
+        #: by _rebuild.
         self._csr: Any = None
         self._child_csr: Any = None
         self._rows: Any = None
@@ -208,18 +215,23 @@ class VectorKernel:
             self._edge_of.pop(key, None)
         self._dirty = True
 
-    def sync_link(self, u_id: int, v_id: int, link: Any) -> None:
-        """Copy a hop's columnar state into its legacy ``LinkState`` (the
-        ``Network.link_state`` read path)."""
+    def link_state(self, u_id: int, v_id: int) -> LinkState:
+        """A ``LinkState`` built from a live hop's columns (the
+        ``Network.link_state`` read path); KeyError for any other pair."""
         if self._dirty:
             self._rebuild()
+        net = self.net
         eid = self._edge_of.get(u_id << _HOP_SHIFT | v_id)
         if eid is None:
-            return
-        link.busy_until = self._busy[eid]
-        link.queueing_delay_total = self._qd[eid]
-        link.packets_carried = self._pkts[eid]
-        link.bytes_carried = self._bytes[eid]
+            raise KeyError((net._names[u_id], net._names[v_id]))
+        return LinkState(
+            bandwidth_bps=net.bandwidth_bps,
+            propagation_delay=net.propagation_delay,
+            busy_until=self._busy[eid],
+            packets_carried=self._pkts[eid],
+            bytes_carried=self._bytes[eid],
+            queueing_delay_total=self._qd[eid],
+        )
 
     def stats(self) -> dict[str, int]:
         """Fired wave entries by executor (initial sends and unicast hops
@@ -234,31 +246,36 @@ class VectorKernel:
     # Adjacency
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
-        """Rebuild both CSR tables from the network's live adjacency (the
+        """Rebuild both CSR tables from the live topology index (the
         single source of truth under membership churn) and forget the
-        loop executor's rows.  Row order equals ``_adj`` iteration order,
-        so hop order is exactly the python kernel's loop order."""
-        net = self.net
+        loop executor's rows.  A live node fans out over
+        ``index.neighbors`` (flood: children, then the parent) or
+        ``index.children`` (subcast) — the order the python kernel's
+        ``_adj`` / ``_child_adj`` records are built in, so hop order is
+        exactly its loop order; a detached node fans out to nothing."""
+        index = self.net._index
+        alive = index.alive
         tables = []
-        for adj in (net._adj, net._child_adj):
-            n = len(adj)
-            total = sum(len(records) for records in adj)
+        for fan_out in (index.neighbors, index.children):
+            n = len(fan_out)
+            total = sum(len(fan_out[node]) for node in range(n) if alive[node])
             ptr = np.zeros(n + 1, dtype=np.int64)
             adj_to = np.empty(total, dtype=np.int32)
             adj_edge = np.empty(total, dtype=np.int32)
             i = 0
-            for node, records in enumerate(adj):
+            for node, nodes in enumerate(fan_out):
                 ptr[node] = i
-                for record in records:
-                    to = record[0]
+                if not alive[node]:
+                    continue
+                for to in nodes:
                     adj_to[i] = to
                     adj_edge[i] = self._intern(node << _HOP_SHIFT | to)
                     i += 1
             ptr[n] = i
             tables.append((ptr, adj_to, adj_edge))
         self._csr, self._child_csr = tables
-        self._rows = _Rows(net._adj, self._edge_of)
-        self._child_rows = _Rows(net._child_adj, self._edge_of)
+        self._rows = _Rows(index.neighbors, alive, self._edge_of)
+        self._child_rows = _Rows(index.children, alive, self._edge_of)
         self._drop_cache.clear()
         self._dirty = False
 

@@ -42,6 +42,8 @@ class RmtpAgent(SrmAgent):
     #: Maximum missing sequence numbers listed per status message.
     STATUS_WINDOW = 64
 
+    __slots__ = ("fabric", "status_period", "statuses_sent", "repairs_sent", "_status_timer")
+
     def __init__(
         self,
         sim: Simulator,
@@ -71,7 +73,8 @@ class RmtpAgent(SrmAgent):
         self.status_period = status_period
         self.statuses_sent = 0
         self.repairs_sent = 0
-        self._status_timer = PeriodicTimer(sim, status_period, self._send_status)
+        #: Built by the first :meth:`start`, like the session timer.
+        self._status_timer: PeriodicTimer | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -79,21 +82,27 @@ class RmtpAgent(SrmAgent):
     def start(self, session_offset: float = 0.0) -> None:
         super().start(session_offset)
         if self.host_id != self.primary_source:
+            if self._status_timer is None:
+                self._status_timer = PeriodicTimer(
+                    self.sim, self.status_period, self._send_status
+                )
             # stagger statuses the same way sessions are staggered
             self._status_timer.start(first_delay=session_offset + self.status_period)
 
     def stop(self) -> None:
-        self._status_timer.stop()
+        if self._status_timer is not None:
+            self._status_timer.stop()
         super().stop()
 
     def fail(self) -> None:
-        self._status_timer.stop()
+        if self._status_timer is not None:
+            self._status_timer.stop()
         super().fail()
 
     def restart(self) -> None:
         was_failed = self.failed
         super().restart()
-        if was_failed and self.host_id != self.primary_source:
+        if was_failed and self._status_timer is not None:
             self._status_timer.start()
 
     # ------------------------------------------------------------------

@@ -28,6 +28,8 @@ class Timer:
     the owning agent's host when the callback is an agent method).
     """
 
+    __slots__ = ("_sim", "_callback", "_args", "_event")
+
     def __init__(self, sim: Simulator, callback: Callable[..., Any], *args: Any) -> None:
         self._sim = sim
         self._callback = callback
@@ -89,6 +91,8 @@ class PeriodicTimer:
     (defaulting to one full period).  Rescheduling happens *before* the
     callback runs, so a callback may stop the timer to break the cycle.
     """
+
+    __slots__ = ("_sim", "period", "_callback", "_args", "_event", "_ticks")
 
     def __init__(
         self,

@@ -122,7 +122,7 @@ def _cache_capacity(agent: SrmAgent, now: float) -> str | None:
 def _expedited_iff_missing(agent: SrmAgent, now: float) -> str | None:
     if not isinstance(agent, CesrmAgent):
         return None
-    for (src, seq), (timer, _) in agent._expedited.items():
+    for (src, seq), (timer, _) in (agent._expedited or {}).items():
         if not timer.armed:
             continue
         state = agent.source_state(src)
@@ -137,7 +137,7 @@ def _expedited_iff_missing(agent: SrmAgent, now: float) -> str | None:
 def _failed_is_silent(agent: SrmAgent, now: float) -> str | None:
     if not agent.failed:
         return None
-    if agent._session_timer.running:
+    if agent.session_running:
         return f"{agent.host_id}: failed host with running session timer"
     for src in agent.known_sources():
         state = agent.source_state(src)

@@ -67,6 +67,8 @@ class AdaptiveSrmAgent(SrmAgent):
 
     protocol_name = "srm-adaptive"
 
+    __slots__ = ("adaptive", "_adaptive_states")
+
     def __init__(self, *args, adaptive: AdaptiveParams | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.adaptive = adaptive or AdaptiveParams()

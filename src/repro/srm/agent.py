@@ -22,8 +22,11 @@ and ``_on_expedited_request``.
 
 Pay per use: losses are rare and local, so most hosts spend a run doing
 nothing but taking the next in-order packet, and an agent builds nothing
-it has not been asked for.  Its random stream is resolved on the first
-draw (``rng`` may be a factory; see :class:`_DeferredStream`).  Its per-source state is created by
+it has not been asked for.  The agent itself is a slotted record (every
+stock agent class declares ``__slots__``; see docs/protocols.md for
+subclasses).  Its random stream is resolved on the first draw (``rng``
+may be a factory shared by all hosts; see :class:`_DeferredStream`), its
+session timer by the first :meth:`SrmAgent.start`.  Its per-source state is created by
 :meth:`SrmAgent.adopt` alone, the first time something other than the
 next in-order DATA packet concerns that source; until then, under the
 vector kernel, the host is a row of the network's reception columns
@@ -80,24 +83,26 @@ class SourceState:
 
 class _DeferredStream:
     """Stands in for an agent's ``rng`` until the first draw: resolving
-    any attribute (``uniform``, ``random``...) creates the real stream,
-    installs it as ``agent.rng`` and is never consulted again.
+    any attribute (``uniform``, ``random``...) asks the run's shared
+    stream factory for this host's stream, installs it as ``agent.rng``
+    and is never consulted again.
 
     Deliberately not a ``cached_property`` (or an agent ``__getattr__``):
-    on CPython 3.11 the first materialises the instance ``__dict__`` and
-    the second disables attribute specialisation for the class, and
-    either slows every ``self.x`` in the agent's hot methods.  A plain
-    store to an attribute set in ``__init__`` does neither.
+    the first needs an instance ``__dict__``, which a slotted agent does
+    not have, and the second disables attribute specialisation for the
+    class, slowing every ``self.x`` in the agent's hot methods.  A plain
+    store to a slot does neither.
     """
 
     __slots__ = ("_agent", "_factory")
 
-    def __init__(self, agent: "SrmAgent", factory: Callable[[], random.Random]):
+    def __init__(self, agent: "SrmAgent", factory: Callable[[str], random.Random]):
         self._agent = agent
         self._factory = factory
 
     def __getattr__(self, name: str):
-        rng = self._agent.rng = self._factory()
+        agent = self._agent
+        rng = agent.rng = self._factory(agent.host_id)
         return getattr(rng, name)
 
 
@@ -128,9 +133,9 @@ class SrmAgent:
         SRM scheduling constants.
     rng:
         The random stream used for all timer jitter at this host — or a
-        zero-argument callable returning it, resolved on the first draw
-        (a host draws only when it schedules a request or reply timer;
-        most never do).
+        callable taking the host id and returning it, called on the first
+        draw (a host draws only when it schedules a request or reply
+        timer; most never do), so one factory serves every host of a run.
     metrics:
         Shared per-run metrics collector.
     session_period:
@@ -144,6 +149,25 @@ class SrmAgent:
 
     protocol_name = "srm"
 
+    __slots__ = (
+        "sim",
+        "net",
+        "host_id",
+        "primary_source",
+        "params",
+        "rng",
+        "metrics",
+        "session_period",
+        "detect_on_request",
+        "is_source",
+        "failed",
+        "session_muted",
+        "sessions_suppressed",
+        "distances",
+        "_sources",
+        "_session_timer",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -151,7 +175,7 @@ class SrmAgent:
         host_id: str,
         source: str,
         params: SrmParams,
-        rng: random.Random | Callable[[], random.Random],
+        rng: random.Random | Callable[[str], random.Random],
         metrics: MetricsCollector,
         session_period: float = 1.0,
         detect_on_request: bool = True,
@@ -174,7 +198,8 @@ class SrmAgent:
         self.sessions_suppressed = 0
         self.distances = DistanceEstimator(host_id, network.tree.index.ids[host_id])
         self._sources: dict[str, SourceState] = {}
-        self._session_timer = PeriodicTimer(sim, session_period, self._send_session)
+        #: Built by the first :meth:`start`; a primed run never makes one.
+        self._session_timer: PeriodicTimer | None = None
 
         # On the reception columns (repro.net.columns) iff everything
         # in-order DATA runs through is the marked stock code.
@@ -243,7 +268,19 @@ class SrmAgent:
     # ------------------------------------------------------------------
     def start(self, session_offset: float = 0.0) -> None:
         """Begin session-message exchange; first message at ``offset``."""
-        self._session_timer.start(first_delay=session_offset)
+        timer = self._session_timer
+        if timer is None:
+            timer = self._session_timer = PeriodicTimer(
+                self.sim, self.session_period, self._send_session
+            )
+        timer.start(first_delay=session_offset)
+
+    @property
+    def session_running(self) -> bool:
+        """Whether this host's session exchange is ticking (False for a
+        host that never started one, e.g. every host of a primed run)."""
+        timer = self._session_timer
+        return timer is not None and timer.running
 
     def fail(self) -> None:
         """Crash this host: it stops sending, replying, and recovering.
@@ -259,17 +296,21 @@ class SrmAgent:
     def restart(self) -> None:
         """Recover from :meth:`fail`: the host rejoins the group with its
         pre-crash reception state (a warm process restart) and resumes
-        session exchange.  Pending recoveries were abandoned by the crash;
-        later traffic or session reports re-detect anything still missing.
+        session exchange — if it had one: a host that never started
+        exchanging (a primed run's) does not start now.  Pending recoveries
+        were abandoned by the crash; later traffic or session reports
+        re-detect anything still missing.
         """
         if not self.failed:
             return
         self.failed = False
-        self._session_timer.start()
+        if self._session_timer is not None:
+            self._session_timer.start()
 
     def stop(self) -> None:
         """Stop periodic activity (end of run)."""
-        self._session_timer.stop()
+        if self._session_timer is not None:
+            self._session_timer.stop()
         for state in self._sources.values():
             for request in state.request_states.values():
                 request.timer.cancel()

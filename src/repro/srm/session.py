@@ -92,7 +92,14 @@ class DistanceEstimator:
     heard is two float rows over that index, ``last_sent_at`` and
     ``received_at`` per peer, created by the first report it hears: a run
     without session exchange (``prime_distances``) allocates none.
+
+    ``get_or(peer, default)`` — the estimate, else ``default`` — is an
+    instance slot, not a method: the estimate dict's own bound ``get``
+    (same signature), swapped by :meth:`prime`.  Agents call it once per
+    observed reply and per scheduled timer, where a Python frame shows.
     """
+
+    __slots__ = ("host_id", "_row", "_estimates", "_heard", "updates", "_oracle", "get_or")
 
     def __init__(self, host_id: str, row: int) -> None:
         self.host_id = host_id
@@ -102,9 +109,6 @@ class DistanceEstimator:
         self._heard: tuple[list[float], list[float]] | None = None
         self.updates = 0
         self._oracle: TreeDistanceOracle | None = None
-        # Shadow the get_or method with the estimate dict's own bound
-        # ``get`` (same signature): agents call it once per observed reply
-        # and per scheduled timer, where the extra Python frame shows up.
         self.get_or = self._estimates.get
 
     # -- priming (scale mode) ------------------------------------------
@@ -171,9 +175,6 @@ class DistanceEstimator:
     def get(self, peer: str) -> float | None:
         """Current one-way distance estimate to ``peer``, if any."""
         return self._estimates.get(peer)
-
-    def get_or(self, peer: str, default: float) -> float:
-        return self._estimates.get(peer, default)
 
     def known_peers(self) -> set[str]:
         return set(self._estimates)

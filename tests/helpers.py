@@ -88,6 +88,48 @@ class RecordingMetrics(MetricsCollector):
         ]
 
 
+class ReceiveSpy:
+    """Attached over a host's agent through :meth:`Network.attach`: keeps
+    every delivered packet of ``kinds`` in ``captured``, then hands each
+    packet to the agent.  (Agents are slotted, so a spy cannot be set on
+    the instance; and a proxy is what the network delivers to anyway.)"""
+
+    def __init__(self, network: Network, agent: SrmAgent, *kinds: PacketKind) -> None:
+        self.agent = agent
+        self.host_id = agent.host_id
+        self.kinds = kinds
+        self.captured: list[Packet] = []
+        network.attach(agent.host_id, self)
+
+    def receive(self, packet: Packet) -> None:
+        if packet.kind in self.kinds:
+            self.captured.append(packet)
+        self.agent.receive(packet)
+
+
+class Sink:
+    """A stand-in agent for network tests: logs ``(time, host, kind,
+    seqno)`` of every packet delivered to ``host``."""
+
+    def __init__(self, sim: Simulator, host: str, log: list) -> None:
+        self.sim, self.host, self.log = sim, host, log
+
+    def receive(self, packet: Packet) -> None:
+        self.log.append((self.sim.now, self.host, packet.kind.value, packet.seqno))
+
+
+def payload(origin: str, seqno: int = 0, kind=PacketKind.REPL) -> Packet:
+    """A 1 KB packet of ``kind`` (a reply by default) about source ``s``."""
+    return Packet(kind=kind, origin=origin, source="s", seqno=seqno, size_bytes=1024)
+
+
+def control(origin: str, seqno: int = 0) -> Packet:
+    """A zero-byte request about source ``s``."""
+    return Packet(
+        kind=PacketKind.RQST, origin=origin, source="s", seqno=seqno, size_bytes=0
+    )
+
+
 @dataclass
 class World:
     """One wired-up test simulation."""

@@ -115,7 +115,7 @@ class TestScheduledFaults:
         simulation.sim.run(until=simulation.end_time)
         agent = simulation.agents["r4"]
         assert not agent.failed
-        assert agent._session_timer.running
+        assert agent.session_running
         assert simulation.faults.stats()["restarts"] == 1
 
     def test_session_suppress_counts_swallowed_reports(self):

@@ -352,6 +352,36 @@ def test_drain_is_in_first_touch_order_not_column_order():
     assert agents["r3"].known_sources() == ["r3", "s"]
 
 
+@pytest.mark.parametrize("agent_cls", [SrmAgent, CesrmAgent])
+def test_report_naming_two_counted_sources_keeps_both_counts(agent_cls):
+    """Two senders interleave short streams; r2 and r4 are still rows of
+    both columns when r1's first session report names both sources.  The
+    first source looked up drains every row of the host, and the second
+    must then be found in the adopted state, not handed over again (which
+    would forget its count and re-detect its packets as lost)."""
+    outcomes = {}
+    for kernel in ("python", "vector"):
+        sim, network, agents, _ = _tiny_world(kernel, agent_cls)
+        for seq in range(3):
+            sim.schedule_at(0.1 * seq, agents["s"].send_data, seq)
+            sim.schedule_at(0.1 * seq + 0.05, agents["r3"].send_data, seq)
+        sim.run(until=0.5)
+        if kernel == "vector":
+            assert network.kernel_stats()["scalar_deliveries"] == 0
+        agents["r1"].start()
+        sim.run(until=1.2)
+        for host in ("r2", "r4"):
+            assert agents[host].unrecovered_losses() == []
+            assert sorted(agents[host].source_state("r3").stream.received) == [0, 1, 2]
+            assert not agents[host].source_state("r3").stream.ever_lost
+        outcomes[kernel] = (
+            {host: _agent_rows(agent) for host, agent in agents.items()},
+            sim.events_processed,
+            network.packets_delivered,
+        )
+    assert outcomes["vector"] == outcomes["python"]
+
+
 # ----------------------------------------------------------------------
 # (f) a subclass with its own DATA path is delivered to
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from repro.core.cachelab import RecoveryTuple
 from repro.net.packet import PAYLOAD_BYTES, Cast, Packet, PacketKind
 
-from tests.helpers import make_world, two_subtrees
+from tests.helpers import ReceiveSpy, make_world, two_subtrees
 
 D = 0.020
 
@@ -136,15 +136,7 @@ class TestTurningPointCaching:
         world.run_warmup()
         agent = world.agent("r3")
 
-        captured = []
-        original = agent.receive
-
-        def spy(packet):
-            if packet.kind is PacketKind.ERQST:
-                captured.append(packet)
-            original(packet)
-
-        world.network._agents["r3"].receive = spy
+        captured = ReceiveSpy(world.network, agent, PacketKind.ERQST).captured
         seed_cache(world.agent("r1"), 0, "r1", "r3", turning_point="x1")
         world.send_packets(3, period=0.3, drop={1: {("x1", "r1")}})
         world.run()

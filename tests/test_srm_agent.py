@@ -10,7 +10,7 @@ import pytest
 
 from repro.net.packet import CONTROL_BYTES, PAYLOAD_BYTES, Packet, PacketKind
 
-from tests.helpers import make_world, two_subtrees
+from tests.helpers import ReceiveSpy, make_world, two_subtrees
 
 TX = PAYLOAD_BYTES * 8 / 1.5e6  # payload serialization per hop
 D = 0.020  # per-link propagation in these tests
@@ -118,17 +118,7 @@ class TestRequestScheduling:
         world = make_world()
         world.run_warmup()
 
-        captured = []
-        source_receive = world.agents["s"].receive
-
-        def spy(packet):
-            if packet.kind is PacketKind.RQST:
-                captured.append(packet)
-            source_receive(packet)
-
-        world.agents["s"].receive = spy
-        world.network._agents["s"] = world.agents["s"]  # rebind unchanged
-        world.network._agents["s"].receive = spy
+        captured = ReceiveSpy(world.network, world.agents["s"], PacketKind.RQST).captured
         world.send_packets(3, drop={1: {("x1", "r1")}})
         world.run()
         assert captured

@@ -24,21 +24,13 @@ from repro.net.packet import Packet, PacketKind
 from repro.net.topology import MulticastTree
 from repro.sim.engine import Simulator
 
-from tests.helpers import two_subtrees
+from tests.helpers import Sink, control, payload, two_subtrees
 
 COLUMNS = ("_busy", "_qd", "_pkts", "_bytes")
 
 #: Pins one executor for every unhooked wave.
 ALWAYS_NUMPY = 0
 ALWAYS_LOOP = 1 << 30
-
-
-class Sink:
-    def __init__(self, sim: Simulator, host: str, log: list) -> None:
-        self.sim, self.host, self.log = sim, host, log
-
-    def receive(self, packet: Packet) -> None:
-        self.log.append((self.sim.now, self.host, packet.kind.value, packet.seqno))
 
 
 def build(tree: MulticastTree, kernel: str):
@@ -48,16 +40,6 @@ def build(tree: MulticastTree, kernel: str):
     for host in tree.hosts:
         network.attach(host, Sink(sim, host, log))
     return sim, network, log
-
-
-def payload(origin: str, seqno: int = 0, kind=PacketKind.REPL) -> Packet:
-    return Packet(kind=kind, origin=origin, source="s", seqno=seqno, size_bytes=1024)
-
-
-def control(origin: str, seqno: int = 0) -> Packet:
-    return Packet(
-        kind=PacketKind.RQST, origin=origin, source="s", seqno=seqno, size_bytes=0
-    )
 
 
 def star(n_receivers: int) -> MulticastTree:
