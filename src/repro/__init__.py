@@ -15,8 +15,8 @@ Quickstart
 >>> srm = run_trace(st, "srm", cfg)
 >>> cesrm = run_trace(st, "cesrm", cfg)
 
-See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
-table/figure reproductions.
+See ``examples/`` for runnable scenarios; ``cesrm verify-paper`` judges
+every claim of the evaluation (:mod:`repro.harness.claims`).
 """
 
 from repro.sim import Simulator, Timer, PeriodicTimer, RngRegistry

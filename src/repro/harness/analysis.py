@@ -51,13 +51,6 @@ class LatencyModel:
         """The predicted expedited-vs-non-expedited latency gap."""
         return self.non_expedited_rtt - self.expedited_rtt
 
-    def describe(self) -> dict[str, float]:
-        return {
-            "non_expedited_rtt": self.non_expedited_rtt,
-            "expedited_rtt": self.expedited_rtt,
-            "expected_gap_rtt": self.expected_gap_rtt,
-        }
-
 
 def paper_latency_model() -> LatencyModel:
     """The model under the paper's parameter values: 3.25 / 1.0 / 2.25 RTT."""

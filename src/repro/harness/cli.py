@@ -23,7 +23,8 @@ single protocol/trace pair:
     $ cesrm run --faults 'link-down:u=r0,v=r1,at=2,duration=5'
     $ cesrm run --trace tree:depth=3,fanout=4 --workload flash_crowd:peak=20x
     $ cesrm run --trace transit_stub:transits=4,stubs=8,hosts=16 --churn churn:rate=0.5
-    $ cesrm all --jobs 8
+    $ cesrm verify-paper --jobs 8
+    $ cesrm verify-paper fig5a --format markdown
     $ cesrm cache
     $ cesrm cache --clear
     $ cesrm cache prune --older-than 7d --max-size 500M
@@ -122,7 +123,7 @@ COMMANDS = (
     *LISTING_COMMANDS,
     "cache",
     "sweep",
-    "all",
+    "verify-paper",
 )
 
 #: The run axes whose declaration asks for a ``--<name>`` flag.
@@ -178,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ARG",
         help="with `sweep`: a subcommand (run|status|query|report) plus a spec "
         "file (run) or sweep selector (status/query/report); with `cache`: "
-        "`prune` to garbage-collect",
+        "`prune` to garbage-collect; with `verify-paper`: claim ids or "
+        "dotted prefixes (e.g. fig5a) to judge instead of every claim",
     )
     parser.add_argument(
         "--max-packets",
@@ -346,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         choices=["table", "csv", "markdown"],
         dest="fmt",
-        help="with `sweep query`/`report`: output format (default: %(default)s)",
+        help="with `sweep query`/`report` and `verify-paper`: output format "
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--trace-out",
@@ -459,80 +462,76 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sweep":
         return _sweep_command(args)
     ctx = _context(args)
-    out: list[str] = []
-
-    from repro.traces.yajnik import FIGURE_TRACES
-
-    figure_traces = (
-        tuple(m.name for m in YAJNIK_TRACES) if args.all_traces else FIGURE_TRACES
-    )
-    if args.command in ("table1", "all"):
-        out.append(report.render_table1(exp.table1(ctx)))
-    if args.command in ("figure1", "all"):
-        out.append(report.render_figure1(exp.figure1(ctx, traces=figure_traces)))
-    if args.command in ("figure2", "all"):
-        out.append(report.render_figure2(exp.figure2(ctx, traces=figure_traces)))
-    if args.command in ("figure3", "all"):
-        out.append(
-            report.render_packet_counts(
-                exp.figure3(ctx, traces=figure_traces), "Figure 3 (requests)"
-            )
-        )
-    if args.command in ("figure4", "all"):
-        out.append(
-            report.render_packet_counts(
-                exp.figure4(ctx, traces=figure_traces), "Figure 4 (replies)"
-            )
-        )
-    if args.command in ("figure5", "all"):
-        out.append(report.render_figure5(exp.figure5(ctx)))
-    if args.command in ("section34", "all"):
-        out.append(report.render_section_3_4(exp.section_3_4(ctx)))
-    if args.command in ("ablations", "all"):
-        out.append(report.render_ablation(exp.ablation_policy(ctx), "Ablation — selection policy"))
-        out.append(
-            report.render_ablation(
-                exp.ablation_cache_capacity(ctx), "Ablation — cache capacity"
-            )
-        )
-        out.append(
-            report.render_ablation(
-                exp.ablation_reorder_delay(ctx), "Ablation — REORDER-DELAY"
-            )
-        )
-        out.append(
-            report.render_ablation(
-                exp.ablation_lossy_recovery(ctx), "Ablation — lossy recovery"
-            )
-        )
-        out.append(
-            report.render_ablation(exp.ablation_link_delay(ctx), "Ablation — link delay")
-        )
-    if args.command in ("router-assist", "all"):
-        out.append(report.render_router_assist(exp.router_assist_comparison(ctx)))
-    if args.command in ("analyze", "all"):
-        out.append(_analyze(args, ctx))
-    if args.command == "synth":
-        out.append(_synth(args, ctx))
-    if args.command == "run":
-        out.append(_run_single(args, ctx))
-    if args.command == "timeline":
-        out.append(_timeline(args, ctx))
-    if args.command == "trace":
-        out.append(_trace_command(args, ctx))
-    if args.command == "faults":
-        out.append(_faults_command(args, ctx))
-    if args.command in LISTING_COMMANDS:
-        out.append(_listing_command(args.command, args.json))
-
-    print("\n\n".join(out))
+    code = 0
+    if args.command == "verify-paper":
+        code = _verify_paper(args, ctx)
+    else:
+        print(_render(args, ctx))
     cache = ctx.engine.cache
     if cache is not None:
         print(
             f"[exec] cache: {cache.stats.describe()} — {cache.directory}",
             file=sys.stderr,
         )
-    return 0
+    return code
+
+
+def _render(args: argparse.Namespace, ctx: exp.ExperimentContext) -> str:
+    """The report of a one-rendering command (every command but `cache`,
+    `sweep` and `verify-paper`)."""
+    from repro.traces.yajnik import FIGURE_TRACES
+
+    if args.command in LISTING_COMMANDS:
+        return _listing_command(args.command, args.json)
+    traces = tuple(m.name for m in YAJNIK_TRACES) if args.all_traces else FIGURE_TRACES
+    ablations = (
+        (exp.ablation_policy, "selection policy"),
+        (exp.ablation_cache_capacity, "cache capacity"),
+        (exp.ablation_reorder_delay, "REORDER-DELAY"),
+        (exp.ablation_lossy_recovery, "lossy recovery"),
+        (exp.ablation_link_delay, "link delay"),
+    )
+    return {
+        "table1": lambda: report.render_table1(exp.table1(ctx)),
+        "figure1": lambda: report.render_figure1(exp.figure1(ctx, traces)),
+        "figure2": lambda: report.render_figure2(exp.figure2(ctx, traces)),
+        "figure3": lambda: report.render_packet_counts(
+            exp.figure3(ctx, traces), "Figure 3 (requests)"
+        ),
+        "figure4": lambda: report.render_packet_counts(
+            exp.figure4(ctx, traces), "Figure 4 (replies)"
+        ),
+        "figure5": lambda: report.render_figure5(exp.figure5(ctx)),
+        "section34": lambda: report.render_section_3_4(exp.section_3_4(ctx)),
+        "ablations": lambda: "\n\n".join(
+            report.render_ablation(driver(ctx), f"Ablation — {title}")
+            for driver, title in ablations
+        ),
+        "router-assist": lambda: report.render_router_assist(
+            exp.router_assist_comparison(ctx)
+        ),
+        "analyze": lambda: _analyze(args, ctx),
+        "synth": lambda: _synth(args, ctx),
+        "run": lambda: _run_single(args, ctx),
+        "timeline": lambda: _timeline(args, ctx),
+        "trace": lambda: _trace_command(args, ctx),
+        "faults": lambda: _faults_command(args, ctx),
+    }[args.command]()
+
+
+def _verify_paper(args: argparse.Namespace, ctx: exp.ExperimentContext) -> int:
+    """Judge the paper's claims (:mod:`repro.harness.claims`); exit 1 on
+    any miss no Known deviation waives."""
+    from repro.harness import claims
+
+    try:
+        selected = claims.select(args.names)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    verdicts = claims.scorecard(ctx, selected)
+    print(claims.render(verdicts, args.fmt))
+    print(claims.summary(verdicts), file=sys.stderr)
+    return 1 if any(v.status == "MISS" for v in verdicts) else 0
 
 
 def _cache_command(args: argparse.Namespace) -> str:
@@ -584,23 +583,18 @@ def _cache_command(args: argparse.Namespace) -> str:
 
 def _analyze(args: argparse.Namespace, ctx: exp.ExperimentContext) -> str:
     """Render the [10]-style loss-locality analysis for every trace."""
-    from repro.harness.report import render_table
-    from repro.traces.analysis import analyze_trace
-
-    rows = []
-    for meta in YAJNIK_TRACES:
-        analysis = analyze_trace(ctx.trace(meta.name))
-        rows.append(
-            (
-                meta.name,
-                f"{analysis.mean_burst_length:.2f}",
-                f"{analysis.mean_locality_gain:.1f}x",
-                f"{100 * analysis.concentration.top_fraction(3):.0f}%",
-                f"{100 * analysis.policies.most_recent_accuracy:.0f}%",
-                f"{100 * analysis.policies.most_frequent_accuracy:.0f}%",
-            )
+    rows = [
+        (
+            row.trace,
+            f"{row.mean_burst:.2f}",
+            f"{row.locality_gain:.1f}x",
+            f"{100 * row.top3_links:.0f}%",
+            f"{100 * row.most_recent_accuracy:.0f}%",
+            f"{100 * row.most_frequent_accuracy:.0f}%",
         )
-    return "Loss-locality analysis ([10])\n" + render_table(
+        for row in exp.trace_locality(ctx)
+    ]
+    return "Loss-locality analysis ([10])\n" + report.render_table(
         ["Trace", "MeanBurst", "CondGain", "Top3Links", "RecentAcc", "FreqAcc"],
         rows,
     )
@@ -752,7 +746,7 @@ def _faults_command(args: argparse.Namespace, ctx: exp.ExperimentContext) -> str
         "  injected: "
         + ", ".join(f"{k}={v}" for k, v in sorted(stats.items())),
     ]
-    if args.protocol not in ("srm", "srm-adaptive"):
+    if "expedited" in PROTOCOLS.get(args.protocol).tags:
         lines.append(
             f"  expedited: requests={result.metrics.expedited_requests_sent}, "
             f"success={100 * result.metrics.expedited_success_rate:.0f}%"
@@ -1006,7 +1000,7 @@ def _run_single(args: argparse.Namespace, ctx: exp.ExperimentContext) -> str:
         f"ucast-ctl={result.overhead.unicast_control}",
         f"  events={result.events_processed}, wall={result.wall_time:.2f}s",
     ]
-    if args.protocol != "srm":
+    if "expedited" in PROTOCOLS.get(args.protocol).tags:
         lines.append(
             f"  expedited: requests={result.metrics.expedited_requests_sent}, "
             f"replies={result.metrics.expedited_replies_sent}, "

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.harness.analysis import LatencyModel
 from repro.harness.experiments import (
     AblationRow,
     Figure1Trace,
@@ -207,15 +206,6 @@ def render_router_assist(rows: list[RouterAssistRow]) -> str:
     return "§3.3 — router-assisted CESRM exposure\n" + render_table(
         ["Trace", "Protocol", "RetxUnits", "EREPLCrossings", "AvgLat(RTT)"],
         body,
-    )
-
-
-def render_latency_model(model: LatencyModel) -> str:
-    d = model.describe()
-    return (
-        f"Eq.(1) non-expedited ≈ {d['non_expedited_rtt']:.2f} RTT, "
-        f"Eq.(2) expedited ≈ {d['expedited_rtt']:.2f} RTT, "
-        f"gap ≈ {d['expected_gap_rtt']:.2f} RTT"
     )
 
 

@@ -7,7 +7,7 @@ until a router diverts them down its replier link; repairs are unicast to
 the *turning point* router and subcast downstream.
 
 The paper's qualitative claims about LMS, which this package lets the
-benchmarks verify head-to-head:
+``lms.*`` rows of ``cesrm verify-paper`` check head-to-head:
 
 * localization — like router-assisted CESRM, repairs reach only the loss
   subtree (similar exposure);

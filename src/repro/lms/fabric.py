@@ -18,7 +18,8 @@ the repair is subcast from the root (i.e. reaches the whole group).
 Router state is the protocol's Achilles heel (§3.3): it must be updated
 when members leave or crash.  :meth:`LmsFabric.fail_host` models a crash
 *without* repairing router state; :meth:`redesignate` models the (slow)
-control-plane repair.  The churn benchmarks measure exactly this window.
+control-plane repair.  The ``lms.*`` claims of ``cesrm verify-paper``
+measure exactly this window.
 """
 
 from __future__ import annotations

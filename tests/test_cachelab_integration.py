@@ -12,7 +12,9 @@ from repro.exec.cache import RunCache
 from repro.exec.jobs import RunJob, execute_job
 from repro.exec.pool import ExecutionEngine
 from repro.exec.summary import RunSummary, config_from_dict, config_to_dict
+from repro.faults import FaultPlan, LinkFlap
 from repro.harness.config import SimulationConfig
+from repro.net.families import build_topology
 from repro.sweep import SweepError, SweepStore, compile_sweep
 
 TRACE = "tree:depth=3,fanout=2"
@@ -27,13 +29,26 @@ POLICIES = (
 )
 
 
-def job(cache="", protocol="cesrm"):
+def job(cache="", protocol="cesrm", faults=FaultPlan()):
     return RunJob(
         trace=TRACE,
         protocol=protocol,
         config=CFG.with_(cache=cache),
         trace_seed=5,
         trace_max_packets=80,
+        faults=faults,
+    )
+
+
+def flapping_links() -> FaultPlan:
+    """Two receiver links flapping from t = 2 s: stochastic link state on
+    top of stochastic admission."""
+    tree = build_topology(TRACE, seed=5)
+    return FaultPlan(
+        events=tuple(
+            LinkFlap(u=tree.parent(r), v=r, mean_up=1.5, mean_down=0.6, start=2.0)
+            for r in (tree.receivers[1], tree.receivers[-2])
+        )
     )
 
 
@@ -146,8 +161,9 @@ class TestDeterminism:
         return out
 
     def test_serial_rerun_identical(self):
-        j = job(cache="prob:capacity=8,p=0.5")
-        assert digest(execute_job(j)) == digest(execute_job(j))
+        for faults in (FaultPlan(), flapping_links()):
+            j = job(cache="prob:capacity=8,p=0.5", faults=faults)
+            assert digest(execute_job(j)) == digest(execute_job(j))
 
     def test_jobs2_matches_serial(self):
         serial = ExecutionEngine(jobs=1).execute(self.all_jobs())

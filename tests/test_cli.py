@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.cli import build_parser, main
+from repro.harness.registry import PROTOCOLS
 
 
 class TestParser:
@@ -16,7 +17,7 @@ class TestParser:
             "timeline",
             "analyze",
             "synth",
-            "all",
+            "verify-paper",
         ):
             args = parser.parse_args([command])
             assert args.command == command
@@ -109,6 +110,15 @@ class TestMain:
         main(["run", "--trace", "WRN951216", "--protocol", "srm", "--max-packets", "300"])
         out = capsys.readouterr().out
         assert "expedited" not in out
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS.names())
+    @pytest.mark.parametrize("command", ["run", "faults"])
+    def test_expedited_line_follows_registry_tag(self, capsys, command, protocol):
+        """Only protocols tagged ``expedited`` report expedited counters."""
+        argv = [command, "--protocol", protocol, "--max-packets", "300", "--no-cache"]
+        assert main(argv + (["--sample"] if command == "faults" else [])) == 0
+        out = capsys.readouterr().out
+        assert ("expedited:" in out) == ("expedited" in PROTOCOLS.get(protocol).tags)
 
     def test_section34(self, capsys):
         assert main(["section34", "--max-packets", "300"]) == 0

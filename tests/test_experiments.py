@@ -31,15 +31,6 @@ class TestContext:
     def test_max_packets_respected(self, ctx):
         assert ctx.trace("WRN951113").trace.n_packets == TINY
 
-    def test_default_max_packets_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL_TRACES", "1")
-        assert exp.default_max_packets() is None
-        monkeypatch.setenv("REPRO_FULL_TRACES", "")
-        monkeypatch.setenv("REPRO_MAX_PACKETS", "1234")
-        assert exp.default_max_packets() == 1234
-        monkeypatch.setenv("REPRO_MAX_PACKETS", "")
-        assert exp.default_max_packets() == exp.DEFAULT_MAX_PACKETS
-
 
 class TestTable1:
     def test_all_fourteen_rows(self, ctx):
