@@ -71,6 +71,7 @@ class RunJob:
         # Validate eagerly so a typo fails at job construction, not in
         # a pool worker three layers down.
         PROTOCOLS.get(self.protocol)
+        check_trace(self.trace)
         for declared in JOB_AXES:
             declared.check(getattr(self, declared.name))
 
@@ -172,6 +173,23 @@ def stored_axes(payload: Mapping[str, Any]) -> dict[str, Any]:
             f"{hashlib.sha256(text.encode()).hexdigest()[:8]}"
         )
     return axes
+
+
+def check_trace(trace: str) -> None:
+    """Raise ``ValueError`` unless ``trace`` is a job's runnable trace: a
+    Table 1 trace name or a valid generative topology spec."""
+    from repro.net.families import is_topology_spec, parse_topology_spec
+    from repro.traces.yajnik import YAJNIK_TRACES
+
+    if is_topology_spec(trace):
+        parse_topology_spec(trace)  # TopologyError is a ValueError
+        return
+    if trace not in {meta.name for meta in YAJNIK_TRACES}:
+        raise ValueError(
+            f"unknown trace {trace!r}: expected a Yajnik name "
+            f"({', '.join(meta.name for meta in YAJNIK_TRACES[:3])}, ...) or "
+            f"a topology spec like tree:depth=3,fanout=4"
+        )
 
 
 def synthesize_job_trace(

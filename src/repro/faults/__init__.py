@@ -32,6 +32,7 @@ from repro.faults.spec import (
     compile_fault_plan,
     is_fault_spec,
     parse_fault_event,
+    resolve_fault_plan,
 )
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "SessionSuppress",
     "event_from_dict",
     "recovery_loss_rule",
+    "resolve_fault_plan",
     "sample_plan",
     "trace_drop_rule",
 ]

@@ -13,12 +13,15 @@ Families are exactly the registered event ``type_name``\\ s; keys are
 the event dataclass's fields, coerced by annotation (floats accept the
 grammar's ``s``/``ms``/``x`` suffixes; everything else stays a string).
 The CLI's ``--faults`` flag and the sweep grid's ``faults`` axis accept
-these specs anywhere a plan path was accepted before.
+these specs anywhere a plan path was accepted before: both read their
+value through :func:`resolve_fault_plan`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
+from typing import Any, Mapping
 
 from repro.faults.plan import EVENT_TYPES, FaultEvent, FaultPlan
 from repro.harness import specstr
@@ -86,9 +89,34 @@ def compile_fault_plan(spec: str) -> FaultPlan:
     return FaultPlan(events=events)
 
 
+def resolve_fault_plan(value: Any, base: str | Path = "") -> FaultPlan:
+    """The one reader of a fault-plan value, behind the CLI's ``--faults``
+    flag and the sweep grid's ``faults`` axis: ``""`` (or None) is no
+    faults, a spec string compiles (:func:`compile_fault_plan`), any other
+    string names a plan JSON file (relative to ``base``), and a mapping is
+    an inline plan table.
+
+    Raises :class:`FaultSpecError` for a bad spec or a value of another
+    type, ``OSError`` for an unreadable file, and ``ValueError`` /
+    ``KeyError`` / ``TypeError`` for a malformed plan."""
+    if value == "" or value is None:
+        return FaultPlan()
+    if isinstance(value, Mapping):
+        return FaultPlan.from_dict(dict(value))
+    if isinstance(value, str):
+        if is_fault_spec(value):
+            return compile_fault_plan(value)
+        return FaultPlan.load(Path(base) / value)
+    raise FaultSpecError(
+        f"a fault plan is '' (none), a spec string, a plan-file path, or "
+        f"an inline plan table, got {value!r}"
+    )
+
+
 __all__ = [
     "FaultSpecError",
     "compile_fault_plan",
     "is_fault_spec",
     "parse_fault_event",
+    "resolve_fault_plan",
 ]

@@ -93,7 +93,7 @@ import argparse
 import sys
 
 from repro.exec.cache import RunCache, default_cache_dir
-from repro.exec.jobs import RUN_AXES, run_job, source_fingerprint
+from repro.exec.jobs import RUN_AXES, check_trace, run_job, source_fingerprint
 from repro.harness import experiments as exp
 from repro.harness import report
 from repro.harness.registry import PROTOCOLS
@@ -134,23 +134,13 @@ SWEEP_SUBCOMMANDS = ("run", "status", "query", "report")
 
 
 def _trace_arg(value: str) -> str:
-    """``--trace`` accepts a Yajnik trace name or a generative topology
-    spec (``tree:depth=3,fanout=4``)."""
-    from repro.net.families import TopologyError, is_topology_spec, parse_topology_spec
-
-    if value in {m.name for m in YAJNIK_TRACES}:
-        return value
-    if is_topology_spec(value):
-        try:
-            parse_topology_spec(value)
-        except TopologyError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-    raise argparse.ArgumentTypeError(
-        f"unknown trace {value!r}: expected a Yajnik name "
-        f"({', '.join(m.name for m in YAJNIK_TRACES[:3])}, ...) or a "
-        f"topology spec like tree:depth=3,fanout=4"
-    )
+    """``--trace`` accepts what a run job accepts: a Yajnik trace name or
+    a generative topology spec (``tree:depth=3,fanout=4``)."""
+    try:
+        check_trace(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _axis_arg(declared):
@@ -409,25 +399,14 @@ def _fault_plan(args: argparse.Namespace):
     string (``link-down:u=r0,v=r1,at=2,duration=5;...``) — the same
     family:key=value grammar as workload and cache-policy specs.
     """
-    from repro.faults import (
-        FaultPlan,
-        FaultSpecError,
-        compile_fault_plan,
-        is_fault_spec,
-        sample_plan,
-    )
+    from repro.faults import FaultSpecError, resolve_fault_plan, sample_plan
 
     if getattr(args, "sample", False):
         return sample_plan()
-    target = getattr(args, "faults", None)
-    if target:
-        if is_fault_spec(target):
-            try:
-                return compile_fault_plan(target)
-            except FaultSpecError as exc:
-                raise SystemExit(str(exc)) from None
-        return FaultPlan.load(target)
-    return FaultPlan()
+    try:
+        return resolve_fault_plan(getattr(args, "faults", None))
+    except FaultSpecError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _context(args: argparse.Namespace) -> exp.ExperimentContext:

@@ -75,6 +75,12 @@ def declared_axes(cls: type) -> tuple[Axis, ...]:
     )
 
 
+#: Default per-trace replay length (packets) of the harness's Table 1
+#: replays — experiments and sweep grids alike; the CLI's ``--full`` lifts
+#: it.  Real replays are 17k–149k packets.
+DEFAULT_MAX_PACKETS = 3000
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """All knobs of one simulation run (immutable; see :meth:`with_`)."""

@@ -40,16 +40,12 @@ from repro.harness.analysis import (
     SRM_FIRST_ROUND_BAND_RTT,
     LatencyModel,
 )
-from repro.harness.config import SimulationConfig
+from repro.harness.config import DEFAULT_MAX_PACKETS, SimulationConfig
 from repro.harness.runner import RunResult, build_simulation, run_trace
 from repro.metrics.stats import mean
 from repro.net.packet import PacketKind
 from repro.traces.model import SyntheticTrace
 from repro.traces.yajnik import FIGURE_TRACES, YAJNIK_TRACES
-
-#: Default per-trace replay length for experiments (None = full trace).
-DEFAULT_MAX_PACKETS: int | None = 3000
-
 
 #: A run request: ``(trace, protocol)`` with the context's config, or
 #: ``(trace, protocol, config)`` with an explicit one.

@@ -9,8 +9,9 @@ models exactly that world:
 * :class:`~repro.net.packet.Packet` — data, session, request, reply,
   expedited-request, and expedited-reply packets with CESRM annotations.
 * :class:`~repro.net.network.Network` — hop-by-hop store-and-forward
-  delivery with per-link bandwidth, propagation delay, FIFO queues,
-  loss-injection hooks, and link-crossing cost accounting.
+  delivery with per-link bandwidth, propagation delay, FIFO queues, the
+  run's fault injector consulted on every hop (every loss is one of its
+  hop rules), and link-crossing cost accounting.
 
 Multicast floods the shared tree from the sender, unicast follows the unique
 tree path, and subcast (router-assisted CESRM, §3.3) floods only the subtree

@@ -1,10 +1,11 @@
 """Packet delivery over the multicast tree.
 
 The network forwards packets hop-by-hop through the tree with per-direction
-FIFO queueing (:class:`~repro.net.link.LinkState`), applies an optional
-loss-injection hook on every directed hop, delivers packets to the agents
-attached at host nodes, and accounts one cost unit per link crossing — the
-transmission-overhead metric of §4.4.
+FIFO queueing (:class:`~repro.net.link.LinkState`), consults the run's
+fault injector (:class:`~repro.faults.inject.FaultInjector`, whose hop
+rules carry every loss) on every directed hop, delivers packets to the
+agents attached at host nodes, and accounts one cost unit per link
+crossing — the transmission-overhead metric of §4.4.
 
 Three propagation modes exist, mirroring the paper:
 
@@ -31,8 +32,8 @@ ids are interned once through the tree's :class:`~repro.net.index
 endpoint names and :class:`LinkState` (python kernel; the vector kernel's
 link columns replace both), unicast walks a precomputed integer
 path, and arrivals go through the engine's raw no-``Event`` scheduling
-path.  The observable contract is unchanged: loss hooks, fault-injector
-hop rules, and trace events all still see string node ids.
+path.  The observable contract is unchanged: fault-injector hop rules and
+trace events still see string node ids.
 
 An engine entry may stand for several same-instant arrivals on either
 kernel.  Here a flood schedules one entry per *sibling run* — consecutive
@@ -54,10 +55,6 @@ from repro.net.packet import Cast, Packet, PacketKind
 from repro.net.topology import MulticastTree, NodeKind
 from repro.obs.events import EventKind
 from repro.sim.engine import Simulator
-
-#: Loss-injection hook: ``(from_node, to_node, packet) -> True`` to drop the
-#: packet on that directed hop.
-DropFn = Callable[[str, str, Packet], bool]
 
 #: Dense ``(kind, cast)`` slot numbering for the crossing counter: the hot
 #: path resolves a packet's slot once per send primitive and every hop then
@@ -91,6 +88,10 @@ _HOP_SHIFT = 21
 
 #: Earlier than any arrival: "no sibling run is open".
 _NEVER = float("-inf")
+
+#: :meth:`Network._cross_hooks` verdict of a hop no hook changed: one
+#: copy, no extra delay.
+_UNTOUCHED = (1, 0.0)
 
 
 class Agent(Protocol):
@@ -199,10 +200,10 @@ class Network:
         self.tree = tree
         self.propagation_delay = propagation_delay
         self.bandwidth_bps = bandwidth_bps
-        self.drop_fn: DropFn | None = None
         #: Optional :class:`~repro.faults.inject.FaultInjector`: consulted on
         #: every directed hop for blocked links and drop/duplicate/delay
-        #: rules.  None (or an injector with no rules) costs one branch.
+        #: rules — the one place a hop decides a packet's fate.  None (or
+        #: an injector with no rules) costs one branch.
         self.faults = None
         self.crossings = CrossingCounter()
         self.packets_dropped = 0
@@ -554,7 +555,9 @@ class Network:
         sending host (``arrived=False``: nothing is delivered or counted).
 
         Each outgoing hop is crossed exactly as :meth:`_transmit` would
-        (same hop, hook and float-op order; the per-edge step is inlined),
+        (same hop, hook and float-op order; the per-edge step, hooks
+        included, is inlined — this is the per-hop loop of the paper's
+        trace replay and of the session exchange),
         but a hop landing on the instant of the hop before it joins that
         hop's entry instead of scheduling its own.  The entries it joins
         would have sat next to it in the instant's bucket anyway — no
@@ -591,11 +594,8 @@ class Network:
             # Re-read after the delivery: between here and the end of this
             # node's hops only the hooks themselves run.
             tracer = sim.tracer
-            drop_fn = self.drop_fn
             faults = self.faults
-            hooked = (
-                drop_fn is not None or faults is not None or tracer is not None
-            )
+            hooked = faults is not None or tracer is not None
             run: list[int] = []
             run_at = _NEVER
             for to, u, v, link in adj[node]:
@@ -605,15 +605,12 @@ class Network:
                 copies = 1
                 extra_delay = 0.0
                 if hooked:
-                    if drop_fn is not None and drop_fn(u, v, packet):
-                        self._record_drop(u, v, packet, tracer)
-                        continue
+                    # Inline of _cross_hooks, hook for hook.
                     if faults is not None and (
                         faults._down
                         or not faults._rules_data_only
                         or packet.kind is _DATA_KIND
                     ):
-                        # (see _transmit for when on_hop can be skipped)
                         effect = faults.on_hop(u, v, packet)
                         if effect is not None:
                             if effect.drop:
@@ -744,17 +741,38 @@ class Network:
     ) -> None:
         """Cross one directed hop of a unicast or subcast and schedule
         ``on_arrival(*args)`` at its far end: the per-edge step — count,
-        ``drop_fn``, fault rules, trace events, link — written plainly.
+        hooks (:meth:`_cross_hooks`), link — written plainly.
         :meth:`_flood_arrival` carries the same step inline."""
         _, u, v, link = record
         self.crossings._slots[slot] += 1  # crossings count before loss
         sim = self.sim
         tracer = sim.tracer
-        if self.drop_fn is not None and self.drop_fn(u, v, packet):
-            self._record_drop(u, v, packet, tracer)
-            return
-        duplicate = False
+        copies = 1
         extra_delay = 0.0
+        if self.faults is not None or tracer is not None:
+            verdict = self._cross_hooks(u, v, link.busy_until, packet, tracer)
+            if verdict is None:
+                return
+            copies, extra_delay = verdict
+        now = sim._now
+        arrival = link.enqueue(now, packet.size_bytes) + extra_delay
+        sim.schedule_raw(arrival, on_arrival, args)
+        if copies == 2:
+            # The copy serializes behind the original on the same link and
+            # continues with the same forwarding behaviour downstream.
+            self.crossings._slots[slot] += 1
+            arrival = link.enqueue(now, packet.size_bytes) + extra_delay
+            sim.schedule_raw(arrival, on_arrival, args)
+
+    def _cross_hooks(
+        self, u: str, v: str, busy_until: float, packet: Packet, tracer
+    ) -> tuple[int, float] | None:
+        """The hooks of one crossing ``u -> v``, before the link admits
+        it: the fault injector, the drop record, the hop's trace events.
+        None when the packet dies here, else ``(copies, extra_delay)``.
+        Both kernels' hop-by-hop paths call this; only the python flood
+        loop (:meth:`_flood_arrival`) carries it inline."""
+        verdict = _UNTOUCHED
         faults = self.faults
         if faults is not None and (
             faults._down
@@ -768,20 +786,11 @@ class Network:
             if effect is not None:
                 if effect.drop:
                     self._record_drop(u, v, packet, tracer)
-                    return
-                duplicate = effect.duplicate
-                extra_delay = effect.extra_delay
-        now = sim._now
+                    return None
+                verdict = (2 if effect.duplicate else 1, effect.extra_delay)
         if tracer is not None:
-            self._trace_hop(u, v, link.busy_until, packet, tracer)
-        arrival = link.enqueue(now, packet.size_bytes) + extra_delay
-        sim.schedule_raw(arrival, on_arrival, args)
-        if duplicate:
-            # The copy serializes behind the original on the same link and
-            # continues with the same forwarding behaviour downstream.
-            self.crossings._slots[slot] += 1
-            arrival = link.enqueue(now, packet.size_bytes) + extra_delay
-            sim.schedule_raw(arrival, on_arrival, args)
+            self._trace_hop(u, v, busy_until, packet, tracer)
+        return verdict
 
     def _trace_hop(
         self, u: str, v: str, busy_until: float, packet: Packet, tracer

@@ -56,15 +56,16 @@ Two rules keep that true:
   on them.  ``Network.link_state`` builds a ``LinkState`` from the
   columns on read.
 * **Hooks only on the loop.**  A wave is *hooked* when something can
-  observe or decide individual hops: a tracer, a ``drop_fn``, an active
-  outage, or any fault rule that is not a recognised deterministic
-  trace-drop table (``rule.link_combos``).  Hooked waves — and unicast
-  hops, a frontier of one with one edge — run the same loop with the
-  hooks live in python-kernel order: deliver to a node, then consult
-  ``drop_fn`` / ``faults.on_hop`` and emit the hop's trace events for
-  each of its hops in turn; a duplicated hop crosses its link twice and
-  a delayed one simply lands in a later wave.  Unhooked waves cross all
-  hops first and deliver afterwards, identically under both executors.
+  observe or decide individual hops: a tracer, an active outage, or any
+  fault rule that is not a recognised deterministic trace-drop table
+  (``rule.link_combos``).  Hooked waves — and unicast hops, a frontier
+  of one with one edge — run the same loop with the hooks live in
+  python-kernel order: deliver to a node, then run the network's
+  per-hop hooks (``Network._cross_hooks``: ``faults.on_hop``, the drop
+  record, the hop's trace events) for each of its hops in turn; a
+  duplicated hop crosses its link twice and a delayed one simply lands
+  in a later wave.  Unhooked waves cross all hops first and deliver
+  afterwards, identically under both executors.
 
 An unhooked DATA flood delivers through the network's *reception
 columns* first (:mod:`repro.net.columns`): every plain host of the
@@ -289,9 +290,9 @@ class VectorKernel:
         deterministically dies — the union over recognised trace-drop
         rules, as ``(set for the loop, array for np.isin)`` — or None
         when it crosses everything."""
-        net = self.net
-        if net.drop_fn is not None or self.sim.tracer is not None:
+        if self.sim.tracer is not None:
             return _HOOKED
+        net = self.net
         faults = net.faults
         if faults is None:
             return None
@@ -333,39 +334,6 @@ class VectorKernel:
             else None
         )
         return drops
-
-    def _consult(
-        self, u_id: int, v_id: int, eid: int, packet: Any
-    ) -> tuple[int, float] | None:
-        """The hooks of one crossing, in ``Network._transmit`` order:
-        ``drop_fn``, the fault injector, then the hop's trace events.
-        None when the packet dies here, else ``(copies, extra_delay)``."""
-        net = self.net
-        u = net._names[u_id]
-        v = net._names[v_id]
-        tracer = self.sim.tracer
-        if net.drop_fn is not None and net.drop_fn(u, v, packet):
-            net._record_drop(u, v, packet, tracer)
-            return None
-        copies = 1
-        extra_delay = 0.0
-        faults = net.faults
-        if faults is not None and (
-            faults._down
-            or not faults._rules_data_only
-            or packet.kind is _DATA_KIND
-        ):
-            effect = faults.on_hop(u, v, packet)
-            if effect is not None:
-                if effect.drop:
-                    net._record_drop(u, v, packet, tracer)
-                    return None
-                if effect.duplicate:
-                    copies = 2
-                extra_delay = effect.extra_delay
-        if tracer is not None:
-            net._trace_hop(u, v, self._busy[eid], packet, tracer)
-        return copies, extra_delay
 
     # ------------------------------------------------------------------
     # Entry points (called by Network's send primitives)
@@ -535,9 +503,11 @@ class VectorKernel:
         math of ``Network._transmit`` on scalar column reads and writes.
         Returns ``{arrival instant: (to list, from list)}``, hops sharing
         an instant in hop order.  Hooked (``drops is _HOOKED``), it delivers
-        to each node before its hops and consults :meth:`_consult` per hop."""
+        to each node before its hops and runs ``Network._cross_hooks`` per
+        hop."""
         net = self.net
-        now = self.sim._now
+        sim = self.sim
+        now = sim._now
         busy = self._busy
         qd = self._qd
         pkts = self._pkts
@@ -549,6 +519,7 @@ class VectorKernel:
         dead = () if hooked or drops is None else drops[0]
         deliver_first = deliver and hooked
         agents = net._agents_by_id
+        names = net._names
         groups: dict = {}
         crossed = 0
         dropped = 0
@@ -566,7 +537,9 @@ class VectorKernel:
                     continue
                 crossed += 1  # crossings count before loss
                 if hooked:
-                    verdict = self._consult(node, to, eid, packet)
+                    verdict = net._cross_hooks(
+                        names[node], names[to], busy[eid], packet, sim.tracer
+                    )
                     if verdict is None:
                         continue
                     copies, extra_delay = verdict

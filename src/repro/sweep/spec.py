@@ -36,9 +36,10 @@ resumability and the result store.
 
 Axes
 ----
-``protocol``, ``trace`` (Yajnik name or topology spec), ``faults`` (path
-to a :class:`~repro.faults.FaultPlan` JSON file, resolved relative to
-the spec file, or an inline plan table; ``""`` = no faults), every run
+``protocol``, ``trace`` (Yajnik name or topology spec), ``faults`` (a
+fault spec string, a path to a :class:`~repro.faults.FaultPlan` JSON
+file, resolved relative to the spec file, or an inline plan table;
+``""`` = no faults), every run
 axis declared as a sweep ``dimension`` (see
 :func:`repro.harness.config.axis`; a spec string, its default = the
 paper's behaviour), ``seed`` (folds into both the config seed and the
@@ -63,8 +64,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.exec.jobs import RUN_AXES, RunJob, split_axes
-from repro.faults import FaultPlan
-from repro.harness.config import CONFIG_AXES, SimulationConfig
+from repro.faults import FaultPlan, resolve_fault_plan
+from repro.harness.config import CONFIG_AXES, DEFAULT_MAX_PACKETS, SimulationConfig
 
 #: Bump when the compiled-job layout changes meaning; folds into digests.
 SWEEP_SCHEMA = 1
@@ -82,10 +83,6 @@ OPTIONAL_AXES = tuple(
 
 #: The swept dimensions a grid (or case) may name directly.
 AXES = ("protocol", "trace", *OPTIONAL_AXES, "seed", "max_packets")
-
-#: Default per-trace replay cap, deliberately *not* env-sensitive (the
-#: same spec file must compile to the same digest everywhere).
-DEFAULT_SWEEP_MAX_PACKETS = 3000
 
 _CONFIG_FIELDS = {f.name for f in fields(SimulationConfig)}
 #: Config fields that may not appear under ``params`` because they are
@@ -324,7 +321,7 @@ def _compile_point(
     }
     job_axes, config_axes = split_axes(swept)
     seed = resolve("seed", 0)
-    max_packets = resolve("max_packets", DEFAULT_SWEEP_MAX_PACKETS)
+    max_packets = resolve("max_packets", DEFAULT_MAX_PACKETS)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SweepError(f"{where}: seed must be an integer, got {seed!r}")
     if not isinstance(max_packets, int) or isinstance(max_packets, bool) or max_packets < 0:
@@ -334,7 +331,6 @@ def _compile_point(
         )
     cap = None if max_packets == 0 else max_packets
 
-    _validate_trace(str(trace), where)
     params = dict(fixed_params)
     params.update(_check_params(point.get("params", {}), where))
     faults_label, plan = _resolve_faults(faults_value, base, plan_cache, where)
@@ -417,61 +413,37 @@ def _check_param_name(key: str, where: str) -> None:
         )
 
 
-def _validate_trace(trace: str, where: str) -> None:
-    from repro.traces.yajnik import YAJNIK_TRACES
-    from repro.net.families import TopologyError, is_topology_spec, parse_topology_spec
-
-    if trace in {m.name for m in YAJNIK_TRACES}:
-        return
-    if is_topology_spec(trace):
-        try:
-            parse_topology_spec(trace)
-        except TopologyError as exc:
-            raise SweepError(f"{where}: {exc}") from None
-        return
-    raise SweepError(
-        f"{where}: unknown trace {trace!r} (expected a Yajnik name or a "
-        f"topology spec like tree:depth=3,fanout=4)"
-    )
-
-
 def _resolve_faults(
     value: Any, base: Path, plan_cache: dict[str, FaultPlan], where: str
 ) -> tuple[str, FaultPlan]:
-    """A faults axis value — ``""``, a plan-file path, or an inline plan
-    table — resolved to ``(store label, FaultPlan)``."""
-    if value == "" or value is None:
-        return "", FaultPlan()
+    """A faults axis value — ``""``, a spec string, a plan-file path, or
+    an inline plan table, read by :func:`repro.faults.resolve_fault_plan`
+    — as ``(store label, FaultPlan)``: the label is the value itself, or
+    ``inline:<sha8>`` for a table."""
+    if value is None:
+        value = ""
     if isinstance(value, Mapping):
         try:
-            plan = FaultPlan.from_dict(dict(value))
+            plan = resolve_fault_plan(value)
         except (ValueError, TypeError, KeyError) as exc:
             raise SweepError(f"{where}: bad inline fault plan: {exc}") from None
-        label = "inline:" + hashlib.sha256(
-            plan.to_json().encode()
-        ).hexdigest()[:8]
-        return label, plan
-    if isinstance(value, str):
-        cache_key = str((base / value).resolve())
-        plan = plan_cache.get(cache_key)
-        if plan is None:
-            try:
-                plan = FaultPlan.load(base / value)
-            except (OSError, ValueError, KeyError) as exc:
-                raise SweepError(
-                    f"{where}: cannot load fault plan {value!r}: {exc}"
-                ) from None
-            plan_cache[cache_key] = plan
-        return value, plan
-    raise SweepError(
-        f"{where}: faults must be '' (none), a plan-file path, or an "
-        f"inline plan table, got {value!r}"
-    )
+        return "inline:" + hashlib.sha256(plan.to_json().encode()).hexdigest()[:8], plan
+    if not isinstance(value, str):
+        raise SweepError(
+            f"{where}: faults must be '' (none), a spec string, a plan-file "
+            f"path, or an inline plan table, got {value!r}"
+        )
+    plan = plan_cache.get(value)
+    if plan is None:
+        try:
+            plan = plan_cache[value] = resolve_fault_plan(value, base)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise SweepError(f"{where}: cannot load fault plan {value!r}: {exc}") from None
+    return value, plan
 
 
 __all__ = [
     "AXES",
-    "DEFAULT_SWEEP_MAX_PACKETS",
     "SWEEP_SCHEMA",
     "SweepCase",
     "SweepError",

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from repro.core.agent import CesrmAgent
 from repro.core.policies import make_policy
 from repro.core.router_assist import RouterAssistedCesrmAgent
+from repro.faults import DROP, FaultInjector, FaultPlan, trace_drop_rule
 from repro.metrics.collector import MetricsCollector
 from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import MulticastTree
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
 from repro.srm.agent import SrmAgent
 from repro.srm.constants import SrmParams
 from repro.traces.model import LossTrace, SyntheticTrace
@@ -118,6 +120,28 @@ class Sink:
         self.log.append((self.sim.now, self.host, packet.kind.value, packet.seqno))
 
 
+def fault_injector(network: Network) -> FaultInjector:
+    """The network's fault injector — every hop's one decider — built
+    empty (no plan, no rules) and assigned on first use."""
+    if network.faults is None:
+        network.faults = FaultInjector(
+            FaultPlan(), network.sim, network, RngRegistry(0)
+        )
+    return network.faults
+
+
+def drop_hops(network: Network, lost) -> None:
+    """Drop every crossing ``u -> v`` of a packet for which ``lost(u, v,
+    packet)`` holds: a plain hop rule (any packet kind, so it runs every
+    kernel's hop-by-hop path), consulted after the rules already on the
+    network's injector."""
+
+    def rule(now: float, u: str, v: str, packet: Packet):
+        return DROP if lost(u, v, packet) else None
+
+    fault_injector(network).add_hop_rule(rule)
+
+
 def payload(origin: str, seqno: int = 0, kind=PacketKind.REPL) -> Packet:
     """A 1 KB packet of ``kind`` (a reply by default) about source ``s``."""
     return Packet(kind=kind, origin=origin, source="s", seqno=seqno, size_bytes=1024)
@@ -140,6 +164,11 @@ class World:
     agents: dict[str, SrmAgent]
     metrics: RecordingMetrics
     params: SrmParams
+    #: DATA seqno -> links it dies on: the table of the world's
+    #: :func:`trace_drop_rule`, the first rule on its injector.  Mutated
+    #: in place, which only the python kernel (read per hop) allows; the
+    #: vector kernel caches a table's drops per seqno.
+    drops: dict[int, set[tuple[str, str]]]
     data_start: float = 0.0
 
     @property
@@ -163,15 +192,11 @@ class World:
         drop: dict[int, set[tuple[str, str]]] | None = None,
         start: float | None = None,
     ) -> None:
-        """Schedule ``n`` data packets, dropping packet i on ``drop[i]``."""
-        drop = drop or {}
-
-        def drop_fn(u: str, v: str, packet: Packet) -> bool:
-            if packet.kind is not PacketKind.DATA:
-                return False
-            return (u, v) in drop.get(packet.seqno, ())
-
-        self.network.drop_fn = drop_fn
+        """Schedule ``n`` data packets, dropping packet i on ``drop[i]``
+        (through the world's trace-drop rule; this replaces the table a
+        previous call set)."""
+        self.drops.clear()
+        self.drops.update(drop or {})
         t0 = self.data_start if start is None else start
         for seq in range(n):
             self.sim.schedule_at(t0 + seq * period, self.source.send_data, seq)
@@ -195,11 +220,15 @@ def make_world(
     detect_on_request: bool = True,
     seed: int = 0,
 ) -> World:
-    """Build a small, fully controlled protocol world."""
+    """Build a small, fully controlled protocol world.  Its losses are
+    hop rules, as in every harness run: a trace-drop rule over
+    :attr:`World.drops` first, then whatever :func:`drop_hops` adds."""
     tree = tree or line_tree()
     params = params or SrmParams()
     sim = Simulator()
     network = Network(sim, tree, propagation_delay=propagation_delay)
+    drops: dict[int, set[tuple[str, str]]] = {}
+    fault_injector(network).add_hop_rule(trace_drop_rule(drops))
     metrics = RecordingMetrics(sim)
     agent_cls: type[SrmAgent] = {
         "srm": SrmAgent,
@@ -226,7 +255,13 @@ def make_world(
             )
         agents[host] = agent_cls(**kwargs)
     return World(
-        sim=sim, network=network, tree=tree, agents=agents, metrics=metrics, params=params
+        sim=sim,
+        network=network,
+        tree=tree,
+        agents=agents,
+        metrics=metrics,
+        params=params,
+        drops=drops,
     )
 
 

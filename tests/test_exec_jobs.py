@@ -56,6 +56,11 @@ class TestKey:
         with pytest.raises(ValueError, match="unknown protocol"):
             job(protocol="nope")
 
+    @pytest.mark.parametrize("trace", ["WRN95111", "tree:depth=3,fanout=0"])
+    def test_unrunnable_trace_rejected(self, trace):
+        with pytest.raises(ValueError):
+            job(trace=trace)
+
     def test_differs_by_fault_plan(self):
         assert job().key() != job(faults=CRASH_PLAN).key()
         other = FaultPlan(events=(PacketDuplicate(rate=0.1),))

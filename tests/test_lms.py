@@ -11,7 +11,7 @@ from repro.sim.engine import Simulator
 from repro.srm.constants import SrmParams
 from repro.traces.synthesize import SynthesisParams, synthesize_trace
 
-from tests.helpers import deep_tree, two_subtrees
+from tests.helpers import deep_tree, drop_hops, two_subtrees
 
 
 class TestFabric:
@@ -107,12 +107,12 @@ class TestLmsRecovery:
         sim, network, tree, agents, metrics, fabric = lms_world()
         sim.run(until=3.0)
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             if packet.kind is not PacketKind.DATA:
                 return False
             return (u, v) in drop.get(packet.seqno, ())
 
-        network.drop_fn = drop_fn
+        drop_hops(network, lost)
         for seq in range(4):
             sim.schedule_at(3.0 + seq * 0.3, agents["s"].send_data, seq)
         sim.run(until=40.0)
@@ -150,7 +150,7 @@ class TestLmsRecovery:
         sim.run(until=3.0)
         dropped = []
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             if packet.kind is PacketKind.DATA:
                 return packet.seqno == 1 and (u, v) == ("x1", "r2")
             if packet.kind is PacketKind.ERQST and not dropped:
@@ -158,7 +158,7 @@ class TestLmsRecovery:
                 return True  # kill exactly the first NACK
             return False
 
-        network.drop_fn = drop_fn
+        drop_hops(network, lost)
         for seq in range(4):
             sim.schedule_at(3.0 + seq * 0.3, agents["s"].send_data, seq)
         sim.run(until=60.0)
@@ -208,12 +208,12 @@ class TestLmsChurnFragility:
         agents[victim].fail()
         fabric.fail_host(victim)  # recorded, but routers stay stale
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             if packet.kind is not PacketKind.DATA:
                 return False
             return packet.seqno == 1 and (u, v) == ("x1", other)
 
-        network.drop_fn = drop_fn
+        drop_hops(network, lost)
         for seq in range(3):
             sim.schedule_at(3.0 + seq * 0.3, agents["s"].send_data, seq)
         sim.run(until=20.0)
@@ -230,12 +230,12 @@ class TestLmsChurnFragility:
         agents[victim].fail()
         fabric.fail_host(victim)
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             if packet.kind is not PacketKind.DATA:
                 return False
             return packet.seqno == 1 and (u, v) == ("x1", other)
 
-        network.drop_fn = drop_fn
+        drop_hops(network, lost)
         for seq in range(3):
             sim.schedule_at(3.0 + seq * 0.3, agents["s"].send_data, seq)
         sim.schedule_at(8.0, fabric.redesignate)  # control plane catches up

@@ -8,7 +8,7 @@ that motivated SRM) — and verify the state separation.
 
 from repro.net.packet import Packet, PacketKind, PAYLOAD_BYTES
 
-from tests.helpers import make_world, two_subtrees
+from tests.helpers import drop_hops, make_world, two_subtrees
 
 
 def send_stream(world, sender: str, n: int, period: float, start: float, drop=None):
@@ -42,7 +42,7 @@ class TestMultiSourceStreams:
         t0 = world.data_start
 
         # drop packet 1 of r4's stream (only) on the link into r1's subtree
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             return (
                 packet.kind is PacketKind.DATA
                 and packet.source == "r4"
@@ -50,7 +50,7 @@ class TestMultiSourceStreams:
                 and (u, v) == ("x0", "x1")
             )
 
-        world.network.drop_fn = drop_fn
+        drop_hops(world.network, lost)
         for seq in range(3):
             world.sim.schedule_at(t0 + seq * 0.08, world.agents["s"].send_data, seq)
             world.sim.schedule_at(
@@ -70,7 +70,7 @@ class TestMultiSourceStreams:
         world.run_warmup()
         t0 = world.data_start
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             return (
                 packet.kind is PacketKind.DATA
                 and packet.source == "r4"
@@ -78,7 +78,7 @@ class TestMultiSourceStreams:
                 and (u, v) == ("x2", "r3")
             )
 
-        world.network.drop_fn = drop_fn
+        drop_hops(world.network, lost)
         for seq in range(3):
             world.sim.schedule_at(t0 + seq * 0.2, world.agents["r4"].send_data, seq)
         world.run()
@@ -105,7 +105,7 @@ class TestMultiSourceStreams:
         world.run_warmup()
         t0 = world.data_start
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             # r1 misses the LAST packet of r4's stream: only the session
             # channel can reveal it
             return (
@@ -115,7 +115,7 @@ class TestMultiSourceStreams:
                 and (u, v) == ("x1", "r1")
             )
 
-        world.network.drop_fn = drop_fn
+        drop_hops(world.network, lost)
         for seq in range(3):
             world.sim.schedule_at(t0 + seq * 0.08, world.agents["r4"].send_data, seq)
         world.run(extra=10.0)
@@ -169,12 +169,12 @@ class TestMultiSourceCesrm:
         )
         t0 = world.data_start
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             if packet.kind is not PacketKind.DATA:
                 return False
             return packet.seqno == 1 and (u, v) == ("x1", "r1")
 
-        world.network.drop_fn = drop_fn
+        drop_hops(world.network, lost)
         # both streams lose packet 1 at r1; only the r4-stream loss has a
         # cached pair, so exactly one expedited request goes out
         for seq in range(3):
@@ -196,14 +196,14 @@ class TestMultiSourceCesrm:
         world.run_warmup()
         t0 = world.data_start
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             if packet.kind is not PacketKind.DATA:
                 return False
             if packet.source == "s":
                 return packet.seqno in (1, 3) and (u, v) == ("x0", "x1")
             return packet.seqno == 2 and (u, v) == ("x0", "x2")
 
-        world.network.drop_fn = drop_fn
+        drop_hops(world.network, lost)
         for seq in range(5):
             world.sim.schedule_at(t0 + seq * 0.1, world.agents["s"].send_data, seq)
             world.sim.schedule_at(

@@ -6,7 +6,7 @@ from repro.net.network import Network
 from repro.net.packet import Cast, Packet, PacketKind
 from repro.sim.engine import Simulator
 
-from tests.helpers import deep_tree, line_tree, two_subtrees
+from tests.helpers import deep_tree, drop_hops, line_tree, two_subtrees
 
 
 class Sink:
@@ -172,7 +172,7 @@ class TestSubcast:
 class TestLossInjection:
     def test_drop_on_link_prunes_subtree(self):
         sim, network, sinks = build(two_subtrees())
-        network.drop_fn = lambda u, v, p: (u, v) == ("x0", "x1")
+        drop_hops(network, lambda u, v, p: (u, v) == ("x0", "x1"))
         network.multicast(control_packet("s"))
         sim.run()
         assert sinks["r1"].received == []
@@ -182,15 +182,15 @@ class TestLossInjection:
 
     def test_drop_applies_per_direction(self):
         sim, network, sinks = build(line_tree())
-        network.drop_fn = lambda u, v, p: (u, v) == ("x1", "s")
+        drop_hops(network, lambda u, v, p: (u, v) == ("x1", "s"))
         network.multicast(control_packet("r1"))
         sim.run()
         assert sinks["s"].received == []
         assert len(sinks["r2"].received) == 1
 
-    def test_drop_fn_sees_packet(self):
+    def test_drop_rule_sees_packet(self):
         sim, network, sinks = build(line_tree())
-        network.drop_fn = lambda u, v, p: p.seqno == 7
+        drop_hops(network, lambda u, v, p: p.seqno == 7)
         network.multicast(control_packet("s", seqno=7))
         network.multicast(control_packet("s", seqno=8))
         sim.run()

@@ -13,7 +13,7 @@ from repro.sim.engine import Simulator
 from repro.srm.constants import SrmParams
 from repro.traces.synthesize import SynthesisParams, synthesize_trace
 
-from tests.helpers import deep_tree, two_subtrees
+from tests.helpers import deep_tree, drop_hops, two_subtrees
 
 
 class TestFabric:
@@ -88,12 +88,12 @@ class TestRecovery:
         sim, network, tree, agents, metrics, fabric = rmtp_world()
         sim.run(until=3.0)
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             if packet.kind is not PacketKind.DATA:
                 return False
             return (u, v) in drop.get(packet.seqno, ())
 
-        network.drop_fn = drop_fn
+        drop_hops(network, lost)
         for seq in range(n):
             sim.schedule_at(3.0 + seq * 0.3, agents["s"].send_data, seq)
         sim.run(until=40.0)
@@ -203,12 +203,12 @@ class TestRmtpChurnFragility:
         member = [m for m in fabric.region_members(dr)][0]
         agents[dr].fail()
 
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             if packet.kind is not PacketKind.DATA:
                 return False
             return packet.seqno == 1 and (u, v) == ("x1", member)
 
-        network.drop_fn = drop_fn
+        drop_hops(network, lost)
         for seq in range(3):
             sim.schedule_at(3.0 + seq * 0.3, agents["s"].send_data, seq)
         sim.run(until=20.0)

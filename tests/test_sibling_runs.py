@@ -31,7 +31,7 @@ from repro.net.topology import MulticastTree
 from repro.obs import RecoveryTimeline, RingBufferSink, Tracer
 from repro.sim.engine import Simulator
 
-from tests.helpers import make_synthetic
+from tests.helpers import drop_hops, make_synthetic
 
 
 class PerHopNetwork(Network):
@@ -308,15 +308,17 @@ def test_duplicated_control_hop_rides_the_run():
     assert network.crossings.total() == 6
 
 
-def test_drop_fn_sees_every_hop_of_a_run():
+def test_hop_rule_sees_every_hop_of_a_run():
+    """A plain hop rule runs the hooked loop on both kernels: it is
+    consulted once per hop of the run, in hop order."""
     seen = []
 
     def scenario(sim, network):
-        def drop_fn(u, v, packet):
+        def lost(u, v, packet):
             seen.append((u, v))
             return v == "r1"
 
-        network.drop_fn = drop_fn
+        drop_hops(network, lost)
         network.multicast(control("s"))
 
     expected, got, network = both(scenario)

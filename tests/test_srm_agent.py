@@ -10,7 +10,7 @@ import pytest
 
 from repro.net.packet import CONTROL_BYTES, PAYLOAD_BYTES, Packet, PacketKind
 
-from tests.helpers import ReceiveSpy, make_world, two_subtrees
+from tests.helpers import ReceiveSpy, drop_hops, make_world, two_subtrees
 
 TX = PAYLOAD_BYTES * 8 / 1.5e6  # payload serialization per hop
 D = 0.020  # per-link propagation in these tests
@@ -143,15 +143,10 @@ class TestRequestScheduling:
     def test_backoff_doubles_when_replies_never_arrive(self):
         world = make_world()
         world.run_warmup()
-        base_drop = {1: {("x1", "r1")}}
-
-        def drop_fn(u, v, packet):
-            if packet.kind is PacketKind.DATA:
-                return (u, v) in base_drop.get(packet.seqno, ())
-            return packet.kind is PacketKind.REPL  # repairs never survive
-
-        world.send_packets(3, drop=base_drop)
-        world.network.drop_fn = drop_fn
+        world.send_packets(3, drop={1: {("x1", "r1")}})
+        # After the world's trace-drop rule, which drops the data packet:
+        # repairs never survive.
+        drop_hops(world.network, lambda u, v, packet: packet.kind is PacketKind.REPL)
         world.run(extra=60.0)
         requests = world.metrics.sends_of(PacketKind.RQST, host="r1")
         assert len(requests) >= 4
@@ -363,15 +358,13 @@ class TestRecovery:
     def test_unrecoverable_loss_reported(self):
         world = make_world()
         world.run_warmup()
-        base_drop = {1: {("x1", "r1")}}
-
-        def drop_fn(u, v, packet):
-            if packet.kind is PacketKind.DATA:
-                return (u, v) in base_drop.get(packet.seqno, ())
-            return packet.kind in (PacketKind.RQST, PacketKind.REPL)
-
-        world.send_packets(3, drop=base_drop)
-        world.network.drop_fn = drop_fn
+        world.send_packets(3, drop={1: {("x1", "r1")}})
+        # After the world's trace-drop rule, which drops the data packet:
+        # no request or repair survives.
+        drop_hops(
+            world.network,
+            lambda u, v, packet: packet.kind in (PacketKind.RQST, PacketKind.REPL),
+        )
         world.run(extra=20.0)
         assert world.agents["r1"].unrecovered_losses() == [1]
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro.faults import FaultPlan, LinkDown
+from repro.harness.config import DEFAULT_MAX_PACKETS
 from repro.sweep.spec import (
-    DEFAULT_SWEEP_MAX_PACKETS,
     SweepError,
     compile_sweep,
     load_sweep,
@@ -52,9 +52,9 @@ class TestCompile:
     def test_default_max_packets(self):
         spec = compile_sweep(GRID_DATA)
         for case in spec.cases:
-            assert case.max_packets == DEFAULT_SWEEP_MAX_PACKETS
-            assert case.job.config.max_packets == DEFAULT_SWEEP_MAX_PACKETS
-            assert case.job.trace_max_packets == DEFAULT_SWEEP_MAX_PACKETS
+            assert case.max_packets == DEFAULT_MAX_PACKETS
+            assert case.job.config.max_packets == DEFAULT_MAX_PACKETS
+            assert case.job.trace_max_packets == DEFAULT_MAX_PACKETS
 
     def test_max_packets_zero_means_full_trace(self):
         spec = compile_sweep(
@@ -188,6 +188,46 @@ class TestFaults:
         )
         assert spec.cases[0].axes()["faults"].startswith("inline:")
         assert not spec.cases[0].job.faults.empty
+
+    def test_spec_string_compiles_to_the_cli_job(self):
+        """The grid's ``faults`` axis reads a spec string the way the CLI's
+        ``--faults`` does: the same plan, so the same job key."""
+        from repro.exec.jobs import RunJob
+        from repro.faults import compile_fault_plan
+        from repro.harness import cli
+        from repro.harness.config import SimulationConfig
+
+        fault = "node-crash:host=r2,at=5s"
+        spec = compile_sweep(
+            {"grid": {"protocol": ["srm"], "trace": ["WRN951113"], "faults": [fault]}}
+        )
+        (case,) = spec.cases
+        assert case.axes()["faults"] == fault
+        expected = RunJob(
+            trace="WRN951113",
+            protocol="srm",
+            config=SimulationConfig().with_(seed=0, max_packets=DEFAULT_MAX_PACKETS),
+            trace_seed=0,
+            trace_max_packets=DEFAULT_MAX_PACKETS,
+            faults=compile_fault_plan(fault),
+        )
+        assert case.job.key() == expected.key()
+        args = cli.build_parser().parse_args(["run", "--no-cache", "--faults", fault])
+        assert cli._context(args).job("WRN951113", "srm").key() == case.job.key()
+
+    def test_bad_spec_string_rejected(self):
+        with pytest.raises(SweepError, match="cannot load fault plan"):
+            compile_sweep(
+                {
+                    "cases": [
+                        {
+                            "protocol": "srm",
+                            "trace": "WRN950919",
+                            "faults": "node-crash:at=5s",
+                        }
+                    ]
+                }
+            )
 
     def test_missing_plan_file_rejected(self, tmp_path):
         with pytest.raises(SweepError, match="cannot load fault plan"):

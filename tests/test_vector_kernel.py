@@ -24,7 +24,7 @@ from repro.net.packet import Packet, PacketKind
 from repro.net.topology import MulticastTree
 from repro.sim.engine import Simulator
 
-from tests.helpers import Sink, control, payload, two_subtrees
+from tests.helpers import Sink, control, drop_hops, payload, two_subtrees
 
 COLUMNS = ("_busy", "_qd", "_pkts", "_bytes")
 
@@ -278,18 +278,20 @@ class TestHooksRunOnTheLoop:
         assert not [1 for _t, host, _k, seqno in log if (host, seqno) == ("r4", 1)]
         assert len([1 for _t, host, _k, seqno in log if (host, seqno) == ("r2", 3)]) == 4
 
-    def test_drop_fn_sees_every_hop_in_python_order(self):
+    def test_hop_rule_sees_every_hop_in_python_order(self):
+        """A plain hop rule (no ``link_combos`` table) keeps the wave on
+        the hooked loop, which consults it hop for hop in python order."""
         runs = {}
         for kernel in ("python", "vector"):
             tree = two_subtrees()
             sim, network, log = build(tree, kernel)
             seen = []
 
-            def drop_fn(u, v, packet, seen=seen):
+            def lost(u, v, packet, seen=seen):
                 seen.append((u, v))
                 return (u, v) == ("x0", "x2")
 
-            network.drop_fn = drop_fn
+            drop_hops(network, lost)
             network.multicast(payload("r1"))
             sim.run()
             runs[kernel] = (log, seen, network.packets_dropped, sim.events_processed)
