@@ -177,18 +177,21 @@ def stored_axes(payload: Mapping[str, Any]) -> dict[str, Any]:
 
 def check_trace(trace: str) -> None:
     """Raise ``ValueError`` unless ``trace`` is a job's runnable trace: a
-    Table 1 trace name or a valid generative topology spec."""
+    Table 1 trace name, a named world (:mod:`repro.traces.worlds`) or a
+    valid generative topology spec."""
     from repro.net.families import is_topology_spec, parse_topology_spec
+    from repro.traces.worlds import WORLDS
     from repro.traces.yajnik import YAJNIK_TRACES
 
     if is_topology_spec(trace):
         parse_topology_spec(trace)  # TopologyError is a ValueError
         return
-    if trace not in {meta.name for meta in YAJNIK_TRACES}:
+    if trace not in WORLDS and trace not in {meta.name for meta in YAJNIK_TRACES}:
         raise ValueError(
             f"unknown trace {trace!r}: expected a Yajnik name "
-            f"({', '.join(meta.name for meta in YAJNIK_TRACES[:3])}, ...) or "
-            f"a topology spec like tree:depth=3,fanout=4"
+            f"({', '.join(meta.name for meta in YAJNIK_TRACES[:3])}, ...), "
+            f"a world ({', '.join(WORLDS)}) or a topology spec like "
+            f"tree:depth=3,fanout=4"
         )
 
 
@@ -197,13 +200,16 @@ def synthesize_job_trace(
 ):
     """Resolve a job's ``trace`` field: a generative topology spec
     (``tree:depth=3,fanout=2``) builds its own tree; a plain name is a
-    Table 1 trace.  Deterministic in the arguments."""
+    named world or a Table 1 trace.  Deterministic in the arguments."""
     from repro.net.families import is_topology_spec, synthesize_topology_trace
     from repro.traces.synthesize import synthesize_trace
+    from repro.traces.worlds import WORLDS, synthesize_world
     from repro.traces.yajnik import trace_meta
 
     if is_topology_spec(trace):
         return synthesize_topology_trace(trace, seed=seed, max_packets=max_packets)
+    if trace in WORLDS:
+        return synthesize_world(trace, seed=seed, max_packets=max_packets)
     return synthesize_trace(trace_meta(trace), seed=seed, max_packets=max_packets)
 
 

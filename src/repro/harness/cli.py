@@ -134,8 +134,8 @@ SWEEP_SUBCOMMANDS = ("run", "status", "query", "report")
 
 
 def _trace_arg(value: str) -> str:
-    """``--trace`` accepts what a run job accepts: a Yajnik trace name or
-    a generative topology spec (``tree:depth=3,fanout=4``)."""
+    """``--trace`` accepts what a run job accepts: a Yajnik trace name, a
+    named world or a generative topology spec (``tree:depth=3,fanout=4``)."""
     try:
         check_trace(value)
     except ValueError as exc:
@@ -188,8 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default="WRN951113",
         type=_trace_arg,
-        help="trace for the `run` command: a Yajnik name or a topology "
-        "spec like tree:depth=3,fanout=4",
+        help="trace for the `run` command: a Yajnik name, a named world "
+        "(scale-40, churn, bench-cachelab, ...) or a topology spec like "
+        "tree:depth=3,fanout=4",
     )
     parser.add_argument(
         "--protocol",
@@ -597,7 +598,7 @@ def _timeline(args: argparse.Namespace, ctx: exp.ExperimentContext) -> str:
     """Render one receiver's per-packet recovery timeline."""
     from repro.harness.report import render_recovery_timeline
 
-    result = ctx.run(args.trace, args.protocol)
+    result = ctx.run(ctx.job(args.trace, args.protocol))
     receiver = args.receiver
     if receiver is None:
         receiver = max(
@@ -713,7 +714,7 @@ def _faults_command(args: argparse.Namespace, ctx: exp.ExperimentContext) -> str
     if args.out:
         plan.save(args.out)
         return f"wrote {args.out}:\n{plan.describe()}"
-    result = ctx.run(args.trace, args.protocol)
+    result = ctx.run(ctx.job(args.trace, args.protocol))
     stats = result.faults or {}
     lines = [
         plan.describe(),
@@ -967,7 +968,7 @@ def _run_single(args: argparse.Namespace, ctx: exp.ExperimentContext) -> str:
     if traced:
         result, _, profiler = _traced_run(args, ctx)
     else:
-        result = ctx.run(args.trace, args.protocol)
+        result = ctx.run(ctx.job(args.trace, args.protocol))
     lat = mean([result.avg_normalized_recovery_time(r) for r in result.receivers])
     lines = [
         f"{args.protocol} on {args.trace}: {result.n_packets} packets, "

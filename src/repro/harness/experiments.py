@@ -17,17 +17,20 @@ replay the first ``DEFAULT_MAX_PACKETS`` packets (loss targets scale
 proportionally) so the whole suite stays laptop-fast.  Pass
 ``max_packets=None`` (the CLI's ``--full``) for full-length replays.
 
-The drivers below the paper's figures run fixed-size worlds of their own
-(group-size and bandwidth sweeps, crash and churn scenarios, workload and
-cache-policy grids over small synthetic trees).  Those worlds are not
-Table 1 rows, so they run in-process through ``run_trace`` at their own
-sizes and seeds: the context's replay cap, seed and run cache do not
-apply to them.
+The drivers below the paper's figures run named worlds of their own
+(:mod:`repro.traces.worlds`: group-size and bandwidth sweeps, crash and
+churn scenarios, workload and cache-policy grids over small synthetic
+trees) as jobs through the same engine and run cache, at the context's
+replay cap.  Each such driver's trace and run seeds are its own constants
+offset by the context's seed, so seed 0 is the worlds' base run.  The
+context's fault plan, workload, churn and config axes apply to the
+Table 1 replays only; a world driver's scenario (fault plan, workload,
+cache policy) is its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.exec.cache import RunCache
@@ -41,15 +44,12 @@ from repro.harness.analysis import (
     LatencyModel,
 )
 from repro.harness.config import DEFAULT_MAX_PACKETS, SimulationConfig
-from repro.harness.runner import RunResult, build_simulation, run_trace
+from repro.harness.runner import RunResult, build_simulation
 from repro.metrics.stats import mean
 from repro.net.packet import PacketKind
 from repro.traces.model import SyntheticTrace
+from repro.traces.worlds import drop_link
 from repro.traces.yajnik import FIGURE_TRACES, YAJNIK_TRACES
-
-#: A run request: ``(trace, protocol)`` with the context's config, or
-#: ``(trace, protocol, config)`` with an explicit one.
-RunSpec = tuple
 
 
 class ExperimentContext:
@@ -80,22 +80,26 @@ class ExperimentContext:
             seed=seed, max_packets=self.max_packets, **config_axes
         )
         self.engine = ExecutionEngine(jobs=jobs, cache=cache, progress=progress)
-        self._traces: dict[str, SyntheticTrace] = {}
-        self._runs: dict[tuple[str, str, SimulationConfig], RunResult] = {}
+        self._traces: dict[tuple[str, int, int | None], SyntheticTrace] = {}
+        self._runs: dict[RunJob, RunResult] = {}
 
-    def trace(self, name: str) -> SyntheticTrace:
-        cached = self._traces.get(name)
+    def trace(self, name: str, seed: int | None = None) -> SyntheticTrace:
+        """``name``'s trace at ``seed`` (default: the context's) and the
+        context's replay cap."""
+        return self._synthetic(name, self.seed if seed is None else seed, self.max_packets)
+
+    def _synthetic(self, name: str, seed: int, max_packets: int | None) -> SyntheticTrace:
+        key = (name, seed, max_packets)
+        cached = self._traces.get(key)
         if cached is None:
-            cached = synthesize_job_trace(
-                name, seed=self.seed, max_packets=self.max_packets
-            )
-            self._traces[name] = cached
+            cached = self._traces[key] = synthesize_job_trace(*key)
         return cached
 
     def job(
         self, name: str, protocol: str, config: SimulationConfig | None = None
     ) -> RunJob:
-        """The declarative spec for one of this context's runs."""
+        """A Table 1 replay: the context's config, seed, replay cap,
+        fault plan and run axes."""
         return RunJob(
             trace=name,
             protocol=protocol,
@@ -106,42 +110,44 @@ class ExperimentContext:
             **self._job_axes,
         )
 
-    def _execute_local(self, job: RunJob) -> RunSummary:
-        """Serial in-process executor reusing the memoized trace (jobs
-        are always built by :meth:`job`, so the trace is this context's)."""
-        return RunSummary.from_result(
-            run_job(job, synthetic=self.trace(job.trace))
+    def world_job(
+        self,
+        name: str,
+        protocol: str,
+        trace_seed: int,
+        config: SimulationConfig = SimulationConfig(),
+    ) -> RunJob:
+        """A run on a named world (:mod:`repro.traces.worlds`) at the
+        context's replay cap, its ``trace_seed`` and ``config.seed``
+        offset by the context's seed; the scenario is the caller's own."""
+        return RunJob(
+            trace=name,
+            protocol=protocol,
+            config=config.with_(seed=config.seed + self.seed),
+            trace_seed=trace_seed + self.seed,
+            trace_max_packets=self.max_packets,
         )
 
-    def prefetch(self, specs: Iterable[RunSpec]) -> None:
+    def _execute_local(self, job: RunJob) -> RunSummary:
+        """Serial in-process executor reusing the memoized trace."""
+        synthetic = self._synthetic(job.trace, job.trace_seed, job.trace_max_packets)
+        return RunSummary.from_result(run_job(job, synthetic=synthetic))
+
+    def prefetch(self, jobs: Iterable[RunJob]) -> None:
         """Execute (and memoize) a batch of runs in one engine pass, so
         cache misses fan out over the process pool together."""
-        keys: list[tuple[str, str, SimulationConfig]] = []
-        jobs: list[RunJob] = []
-        for spec in specs:
-            name, protocol, config = spec if len(spec) == 3 else (*spec, None)
-            config = config or self.config
-            key = (name, protocol, config)
-            if key in self._runs or key in keys:
-                continue
-            keys.append(key)
-            jobs.append(self.job(name, protocol, config))
-        if not jobs:
-            return
-        results = self.engine.execute(jobs, local_executor=self._execute_local)
-        for key, result in zip(keys, results):
-            self._runs[key] = result
+        pending = list(dict.fromkeys(job for job in jobs if job not in self._runs))
+        if pending:
+            results = self.engine.execute(pending, local_executor=self._execute_local)
+            self._runs.update(zip(pending, results))
 
-    def run(
-        self, name: str, protocol: str, config: SimulationConfig | None = None
-    ) -> RunResult:
-        config = config or self.config
-        key = (name, protocol, config)
-        cached = self._runs.get(key)
-        if cached is None:
-            self.prefetch([(name, protocol, config)])
-            cached = self._runs[key]
-        return cached
+    def run(self, job: RunJob) -> RunResult:
+        return self.run_all([job])[0]
+
+    def run_all(self, jobs: list[RunJob]) -> list[RunResult]:
+        """``jobs`` as one batch, results in job order."""
+        self.prefetch(jobs)
+        return [self._runs[job] for job in jobs]
 
 
 # ----------------------------------------------------------------------
@@ -213,16 +219,19 @@ class Figure1Trace:
         return mean([1.0 - c / s for s, c in pairs])
 
 
+def _srm_cesrm(ctx: ExperimentContext, traces: tuple[str, ...]):
+    """``(trace, SRM run, CESRM run)`` per trace, run as one batch."""
+    runs = ctx.run_all([ctx.job(n, p) for n in traces for p in ("srm", "cesrm")])
+    return zip(traces, runs[::2], runs[1::2])
+
+
 def figure1(
     ctx: ExperimentContext, traces: tuple[str, ...] = FIGURE_TRACES
 ) -> list[Figure1Trace]:
     """Figure 1: per-receiver average normalized recovery time (RTT units),
     SRM vs CESRM, for the six typical traces."""
-    ctx.prefetch((n, p) for n in traces for p in ("srm", "cesrm"))
     out = []
-    for name in traces:
-        srm = ctx.run(name, "srm")
-        cesrm = ctx.run(name, "cesrm")
+    for name, srm, cesrm in _srm_cesrm(ctx, traces):
         receivers = srm.receivers
         out.append(
             Figure1Trace(
@@ -257,10 +266,8 @@ def figure2(
 ) -> list[Figure2Trace]:
     """Figure 2: per-receiver difference between non-expedited and
     expedited average normalized recovery times under CESRM."""
-    ctx.prefetch((n, "cesrm") for n in traces)
     out = []
-    for name in traces:
-        cesrm = ctx.run(name, "cesrm")
+    for name, cesrm in zip(traces, ctx.run_all([ctx.job(n, "cesrm") for n in traces])):
         out.append(
             Figure2Trace(
                 trace=name,
@@ -310,11 +317,8 @@ def figure4(
 def _packet_counts(
     ctx: ExperimentContext, traces: tuple[str, ...], which: str
 ) -> list[PacketCountTrace]:
-    ctx.prefetch((n, p) for n in traces for p in ("srm", "cesrm"))
     out = []
-    for name in traces:
-        srm = ctx.run(name, "srm")
-        cesrm = ctx.run(name, "cesrm")
+    for name, srm, cesrm in _srm_cesrm(ctx, traces):
         hosts = srm.hosts
         if which == "requests":
             srm_counts = [srm.request_counts(h)["multicast"] for h in hosts]
@@ -364,11 +368,8 @@ def figure5(
     """Figure 5: per-trace expedited success percentage and CESRM's
     transmission overhead relative to SRM's, for all 14 traces."""
     names = traces or tuple(meta.name for meta in YAJNIK_TRACES)
-    ctx.prefetch((n, p) for n in names for p in ("srm", "cesrm"))
     rows = []
-    for name in names:
-        srm = ctx.run(name, "srm")
-        cesrm = ctx.run(name, "cesrm")
+    for name, srm, cesrm in _srm_cesrm(ctx, names):
         pct = cesrm.overhead.as_percent_of(srm.overhead)
         rows.append(
             Figure5Row(
@@ -404,12 +405,9 @@ def section_3_4(
         params=ctx.config.params,
         reorder_delay_rtt=0.0,
     )
-    ctx.prefetch((n, p) for n in traces for p in ("srm", "cesrm"))
     srm_avgs = {}
     gaps = {}
-    for name in traces:
-        srm = ctx.run(name, "srm")
-        cesrm = ctx.run(name, "cesrm")
+    for name, srm, cesrm in _srm_cesrm(ctx, traces):
         srm_avgs[name] = mean(
             [srm.avg_normalized_recovery_time(r) for r in srm.receivers]
         )
@@ -454,8 +452,11 @@ def _ablation_row(label: str, result: RunResult) -> AblationRow:
 def _ablate(ctx: ExperimentContext, specs: list, label) -> list[AblationRow]:
     """Run ``(trace, protocol, config)`` specs as one batch; ``label``
     names each row from its protocol and config."""
-    ctx.prefetch(specs)
-    return [_ablation_row(label(p, cfg), ctx.run(name, p, cfg)) for name, p, cfg in specs]
+    jobs = [ctx.job(*spec) for spec in specs]
+    return [
+        _ablation_row(label(job.protocol, job.config), result)
+        for job, result in zip(jobs, ctx.run_all(jobs))
+    ]
 
 
 def ablation_policy(
@@ -536,32 +537,25 @@ def router_assist_comparison(
 ) -> list[RouterAssistRow]:
     """§3.3: router-assisted CESRM localizes expedited replies (subcast),
     cutting retransmission exposure versus plain CESRM at equal latency."""
-    ctx.prefetch(
-        (n, p) for n in traces for p in ("cesrm", "cesrm-router")
-    )
+    jobs = [ctx.job(n, p) for n in traces for p in ("cesrm", "cesrm-router")]
     rows = []
-    for name in traces:
-        for protocol in ("cesrm", "cesrm-router"):
-            result = ctx.run(name, protocol)
-            erepl = sum(
-                n
-                for (kind, _), n in result.crossings_snapshot.items()
-                if kind == "erepl"
+    for job, result in zip(jobs, ctx.run_all(jobs)):
+        erepl = sum(
+            n
+            for (kind, _), n in result.crossings_snapshot.items()
+            if kind == "erepl"
+        )
+        rows.append(
+            RouterAssistRow(
+                trace=job.trace,
+                protocol=job.protocol,
+                retransmission_units=result.overhead.retransmissions,
+                expedited_reply_crossings=erepl,
+                avg_normalized_latency=mean(
+                    [result.avg_normalized_recovery_time(r) for r in result.receivers]
+                ),
             )
-            rows.append(
-                RouterAssistRow(
-                    trace=name,
-                    protocol=protocol,
-                    retransmission_units=result.overhead.retransmissions,
-                    expedited_reply_crossings=erepl,
-                    avg_normalized_latency=mean(
-                        [
-                            result.avg_normalized_recovery_time(r)
-                            for r in result.receivers
-                        ]
-                    ),
-                )
-            )
+        )
     return rows
 
 
@@ -666,8 +660,8 @@ def protocol_family(
     protocols: tuple[str, ...] = ("srm", "srm-adaptive", "cesrm", "cesrm-router", "lms", "rmtp"),
 ) -> list[ProtocolRow]:
     """§1's recovery architectures on identical traces."""
-    ctx.prefetch((n, p) for n in traces for p in protocols)
-    return [_protocol_row(n, ctx.run(n, p)) for n in traces for p in protocols]
+    jobs = [ctx.job(n, p) for n in traces for p in protocols]
+    return [_protocol_row(job.trace, result) for job, result in zip(jobs, ctx.run_all(jobs))]
 
 
 def ablation_adaptive_timers(ctx: ExperimentContext) -> list[ProtocolRow]:
@@ -675,64 +669,41 @@ def ablation_adaptive_timers(ctx: ExperimentContext) -> list[ProtocolRow]:
     return protocol_family(ctx, FIGURE_TRACES[:4], ("srm", "srm-adaptive"))
 
 
-def _world(name, n_receivers, depth, period, n_packets, losses, seed) -> SyntheticTrace:
-    """A synthetic trace over a random tree of the given shape."""
-    from repro.traces.synthesize import SynthesisParams, synthesize_trace
-
-    params = SynthesisParams(name, n_receivers, depth, period, n_packets, losses)
-    return synthesize_trace(params, seed=seed)
-
-
 def scalability(ctx: ExperimentContext) -> list[ProtocolRow]:
     """Group size 8 → 40 receivers at a constant per-receiver loss rate
-    (1 200 packets per size, synthesis seed 2)."""
-    rows = []
-    for size in (8, 16, 24, 40):
-        world = _world(f"scale-{size}", size, 5, 0.08, 1200, round(0.05 * size * 1200), 2)
-        rows += [_protocol_row(str(size), run_trace(world, p)) for p in ("srm", "cesrm")]
-    return rows
+    (worlds ``scale-8`` … ``scale-40``, trace seed 2, run seed 0)."""
+    jobs = [
+        ctx.world_job(f"scale-{size}", p, trace_seed=2)
+        for size in (8, 16, 24, 40)
+        for p in ("srm", "cesrm")
+    ]
+    return [
+        _protocol_row(job.trace.removeprefix("scale-"), result)
+        for job, result in zip(jobs, ctx.run_all(jobs))
+    ]
 
 
 def congestion(ctx: ExperimentContext) -> list[ProtocolRow]:
     """Repair-storm congestion: shrink the link bandwidth under a fixed
-    16-receiver, 900-packet workload (synthesis seed 4)."""
-    world = _world("congestion", 16, 5, 0.08, 900, 900, 4)
-    return [
-        _protocol_row(
-            f"{bandwidth / 1e6:.2f} Mbps",
-            run_trace(world, p, SimulationConfig(bandwidth_bps=bandwidth, drain_time=60.0)),
+    16-receiver, 900-packet workload (world ``congestion``, trace seed
+    4, run seed 0)."""
+    jobs = [
+        ctx.world_job(
+            "congestion", p, trace_seed=4,
+            config=SimulationConfig(bandwidth_bps=bandwidth, drain_time=60.0),
         )
         for bandwidth in (4e6, 1.5e6, 0.75e6)
         for p in ("srm", "cesrm")
+    ]
+    return [
+        _protocol_row(f"{job.config.bandwidth_bps / 1e6:.2f} Mbps", result)
+        for job, result in zip(jobs, ctx.run_all(jobs))
     ]
 
 
 # ----------------------------------------------------------------------
 # Membership churn: cached and designated repliers crash (§3.3/§5)
 # ----------------------------------------------------------------------
-def _link_drop_world(name, tree_seed, n_receivers, depth, n_packets, period, dropped):
-    """A random tree whose deepest interior link (two or more receivers
-    on each side) drops exactly the packets ``dropped(seq)`` names.
-    Returns ``(world, link)``."""
-    from repro.net.topology import build_random_tree
-    from repro.sim.rng import RngRegistry
-    from repro.traces.model import LossTrace
-
-    tree = build_random_tree(n_receivers, depth, RngRegistry(tree_seed).stream("topology"))
-    interior = [
-        (u, v) for u, v in tree.links
-        if 2 <= len(tree.subtree_receivers(v)) <= len(tree.receivers) - 2
-    ]
-    link = max(interior, key=lambda link: tree.node_depth(link[1]))
-    behind = tree.subtree_receivers(link[1])
-    lost = bytes(1 if dropped(seq) else 0 for seq in range(n_packets))
-    seqs = {r: lost if r in behind else bytes(n_packets) for r in tree.receivers}
-    rates = dict.fromkeys(tree.links, 0.0)
-    rates[link] = sum(lost) / n_packets
-    combos = {seq: frozenset({link}) for seq in range(n_packets) if lost[seq]}
-    return SyntheticTrace(LossTrace(name, tree, period, seqs), rates, combos), link
-
-
 class SurvivorStats(NamedTuple):
     """Recovery outcome at the receivers a run left alive."""
 
@@ -762,23 +733,26 @@ class ChurnOutcome(NamedTuple):
 
 def churn(ctx: ExperimentContext) -> ChurnOutcome:
     """Crash whichever replier a receiver behind the lossy link has
-    cached, at one and two thirds of the run (10 receivers, every odd
-    packet of 120 dropped on one interior link, tree seed 5).
+    cached, at one and two thirds of the run (world ``churn``: 10
+    receivers, every odd packet of 120 dropped on one interior link;
+    trace seed 5, run seed 0).
 
     Each crash is a :class:`~repro.faults.NodeCrash` of the run's fault
     plan.  Its victim is read from the observer's cache in a probe that
     replays the same deterministic run up to the crash instant."""
-    world, link = _link_drop_world("churn", 5, 10, 4, 120, 0.25, lambda seq: seq % 2)
+    job = ctx.world_job("churn", "cesrm", trace_seed=5)
+    world = ctx.trace(job.trace, job.trace_seed)
     tree = world.trace.tree
-    observer = next(r for r in tree.receivers if r in tree.subtree_receivers(link[1]))
-    config = SimulationConfig()
+    behind = tree.subtree_receivers(drop_link(tree)[1])
+    observer = next(r for r in tree.receivers if r in behind)
+    start = job.config.transmission_start
     span = world.trace.n_packets * world.trace.period
     crashes: tuple[NodeCrash, ...] = ()
-    for at in (config.transmission_start + span / 3, config.transmission_start + 2 * span / 3):
+    for at in (start + span / 3, start + 2 * span / 3):
         # The probe crashes the observer at ``at``, which leaves its cache
         # as it was; everything before ``at`` is the real run's prefix.
         probe = build_simulation(
-            world, "cesrm", config,
+            world, job.protocol, job.config,
             faults=FaultPlan(events=(*crashes, NodeCrash(host=observer, at=at))),
         )
         probe.sim.run(until=at)
@@ -787,7 +761,7 @@ def churn(ctx: ExperimentContext) -> ChurnOutcome:
             c.host != cached.replier for c in crashes
         ):
             crashes += (NodeCrash(host=cached.replier, at=at),)
-    result = run_trace(world, "cesrm", config, faults=FaultPlan(events=crashes))
+    result = ctx.run(replace(job, faults=FaultPlan(events=crashes)))
     dead = {c.host for c in crashes}
     expedited = [
         record.seq
@@ -808,32 +782,40 @@ class LmsOutcome(NamedTuple):
 
 def lms_comparison(ctx: ExperimentContext) -> list[LmsOutcome]:
     """CESRM vs LMS with static membership and with the subtree's
-    designated LMS replier crashed a third of the way in (12 receivers,
-    every fourth of 400 packets dropped on one interior link, tree
-    seed 3).  LMS's crash hook marks the host failed in its fabric and
-    leaves the routers' designation stale."""
+    designated LMS replier crashed a third of the way in (world ``lms``:
+    12 receivers, every fourth of 400 packets dropped on one interior
+    link; trace seed 3, run seed 0).  LMS's crash hook marks the host
+    failed in its fabric and leaves the routers' designation stale."""
     from repro.lms.fabric import LmsFabric
 
-    world, link = _link_drop_world("lms", 3, 12, 5, 400, 0.15, lambda seq: seq % 4 == 1)
-    config = SimulationConfig(drain_time=40.0)
-    victim = LmsFabric(world.trace.tree).replier_of(link[1])
-    at = config.transmission_start + world.trace.n_packets * world.trace.period / 3
+    base = ctx.world_job("lms", "cesrm", trace_seed=3, config=SimulationConfig(drain_time=40.0))
+    world = ctx.trace(base.trace, base.trace_seed)
+    tree = world.trace.tree
+    victim = LmsFabric(tree).replier_of(drop_link(tree)[1])
+    at = base.config.transmission_start + world.trace.n_packets * world.trace.period / 3
+    cases = [
+        (protocol, churned, (victim,) if churned and victim != tree.source else ())
+        for protocol in ("cesrm", "lms")
+        for churned in (False, True)
+    ]
+    jobs = [
+        replace(base, protocol=protocol, faults=FaultPlan(
+            events=tuple(NodeCrash(host=h, at=at) for h in dead)
+        ))
+        for protocol, _, dead in cases
+    ]
     out = []
-    for protocol in ("cesrm", "lms"):
-        for churned in (False, True):
-            dead = (victim,) if churned and victim != world.trace.tree.source else ()
-            plan = FaultPlan(events=tuple(NodeCrash(host=h, at=at) for h in dead))
-            result = run_trace(world, protocol, config, faults=plan)
-            sends = result.metrics.total_sends
-            out.append(
-                LmsOutcome(
-                    protocol,
-                    churned,
-                    len(dead),
-                    _survivor_stats(result, dead).unrecovered,
-                    sends(PacketKind.RQST) + sends(PacketKind.REPL),
-                )
+    for (protocol, churned, dead), result in zip(cases, ctx.run_all(jobs)):
+        sends = result.metrics.total_sends
+        out.append(
+            LmsOutcome(
+                protocol,
+                churned,
+                len(dead),
+                _survivor_stats(result, dead).unrecovered,
+                sends(PacketKind.RQST) + sends(PacketKind.REPL),
             )
+        )
     return out
 
 
@@ -857,22 +839,25 @@ class CrashRow(NamedTuple):
 
 def replier_crashes(ctx: ExperimentContext) -> list[CrashRow]:
     """Crash the ``k`` = 0…3 most active expedited repliers of a clean
-    CESRM run, 4 s apart from t = 10 s (8 receivers, 800 packets,
-    synthesis seed 2, run seed 1)."""
-    world = _world("bench-faults", 8, 3, 0.04, 800, 320, 2)
-    config = SimulationConfig(seed=1)
-    clean = run_trace(world, "cesrm", config)
+    CESRM run, 4 s apart from t = 10 s (world ``bench-faults``: 8
+    receivers, 800 packets; trace seed 2, run seed 1)."""
+    clean_job = ctx.world_job("bench-faults", "cesrm", trace_seed=2, config=SimulationConfig(seed=1))
+    clean = ctx.run(clean_job)
     ranked = sorted(
         clean.receivers,
         key=lambda h: clean.metrics.sends_by_host_kind(h, PacketKind.EREPL),
         reverse=True,
     )
+    plans = [
+        FaultPlan(events=tuple(NodeCrash(host=h, at=10.0 + 4.0 * i) for i, h in enumerate(ranked[:k])))
+        for k in range(4)
+    ]
+    results = ctx.run_all([
+        replace(clean_job, protocol=p, faults=plan) for plan in plans for p in ("srm", "cesrm")
+    ])
     rows = []
     for k in range(4):
-        plan = FaultPlan(
-            events=tuple(NodeCrash(host=h, at=10.0 + 4.0 * i) for i, h in enumerate(ranked[:k]))
-        )
-        srm, cesrm = (run_trace(world, p, config, faults=plan) for p in ("srm", "cesrm"))
+        srm, cesrm = results[2 * k:2 * k + 2]
         rows.append(
             CrashRow(
                 k,
@@ -897,25 +882,27 @@ class WorkloadRow(NamedTuple):
 
 def workload_families(ctx: ExperimentContext) -> list[WorkloadRow]:
     """Every workload family × {SRM, CESRM} over one 8-receiver,
-    600-packet synthetic tree (seed 7)."""
-    world = _world("bench-workloads", 8, 3, 0.05, 600, 200, 7)
-    rows = []
-    for spec in ("cbr", "poisson", "zipf:alpha=1.2,objects=64,train=8",
-                 "flash_crowd:peak=8,ramp=2", "diurnal:period=10s,min=0.3",
-                 "multi_source:senders=4"):
-        for protocol in ("srm", "cesrm"):
-            result = run_trace(world, protocol, SimulationConfig(seed=7), workload=spec)
-            rows.append(
-                WorkloadRow(
-                    spec,
-                    protocol,
-                    result.workload["events"],
-                    world.trace.n_packets,
-                    len(result.workload["senders"]),
-                    _survivor_stats(result),
-                )
-            )
-    return rows
+    600-packet synthetic tree (world ``bench-workloads``, trace and run
+    seed 7)."""
+    base = ctx.world_job("bench-workloads", "srm", trace_seed=7, config=SimulationConfig(seed=7))
+    jobs = [
+        replace(base, protocol=protocol, workload=spec)
+        for spec in ("cbr", "poisson", "zipf:alpha=1.2,objects=64,train=8",
+                     "flash_crowd:peak=8,ramp=2", "diurnal:period=10s,min=0.3",
+                     "multi_source:senders=4")
+        for protocol in ("srm", "cesrm")
+    ]
+    return [
+        WorkloadRow(
+            job.workload,
+            job.protocol,
+            result.workload["events"],
+            result.n_packets,
+            len(result.workload["senders"]),
+            _survivor_stats(result),
+        )
+        for job, result in zip(jobs, ctx.run_all(jobs))
+    ]
 
 
 class CachePolicyRow(NamedTuple):
@@ -927,10 +914,11 @@ class CachePolicyRow(NamedTuple):
 
 def cache_policies(ctx: ExperimentContext) -> list[CachePolicyRow]:
     """Every cache policy under three cache-hostile scenarios on one
-    10-receiver, 500-packet synthetic tree (seed 13): two receiver links
-    flapping, two receivers crashing and restarting, and a flash crowd."""
-    world = _world("bench-cachelab", 10, 4, 0.05, 500, 170, 13)
-    tree = world.trace.tree
+    10-receiver, 500-packet synthetic tree (world ``bench-cachelab``,
+    trace and run seed 13): two receiver links flapping, two receivers
+    crashing and restarting, and a flash crowd."""
+    base = ctx.world_job("bench-cachelab", "cesrm", trace_seed=13, config=SimulationConfig(seed=13))
+    tree = ctx.trace(base.trace, base.trace_seed).trace.tree
     receivers = tree.receivers
     flaps = tuple(
         LinkFlap(u=tree.parent(r), v=r, mean_up=1.5, mean_down=0.6, start=2.0)
@@ -941,20 +929,20 @@ def cache_policies(ctx: ExperimentContext) -> list[CachePolicyRow]:
         for i, r in enumerate((receivers[0], receivers[len(receivers) // 2]))
     )
     scenarios = (
-        ("churn", FaultPlan(events=flaps), None),
-        ("replier_crash", FaultPlan(events=crashes), None),
-        ("flash_crowd", None, "flash_crowd:peak=8,ramp=2"),
+        ("churn", FaultPlan(events=flaps), ""),
+        ("replier_crash", FaultPlan(events=crashes), ""),
+        ("flash_crowd", FaultPlan(), "flash_crowd:peak=8,ramp=2"),
     )
-    return [
-        CachePolicyRow(
-            name,
-            policy,
-            run_trace(
-                world, "cesrm", SimulationConfig(seed=13, cache=policy),
-                faults=faults, workload=workload,
-            ).cache,
-        )
+    cells = [
+        (name, policy, replace(
+            base, config=base.config.with_(cache=policy), faults=faults, workload=workload
+        ))
         for name, faults, workload in scenarios
         for policy in ("paper:capacity=16", "lru:capacity=8", "lfu:capacity=8",
                        "ttl:capacity=16,ttl=2s", "prob:capacity=16,p=0.5", "unbounded")
+    ]
+    results = ctx.run_all([job for _, _, job in cells])
+    return [
+        CachePolicyRow(name, policy, result.cache)
+        for (name, policy, _), result in zip(cells, results)
     ]

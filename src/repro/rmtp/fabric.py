@@ -51,8 +51,10 @@ class RmtpFabric:
     # Queries
     # ------------------------------------------------------------------
     def status_parent(self, receiver: str) -> str:
-        """Where ``receiver`` sends its status messages."""
-        return self.parent_of[receiver]
+        """Where ``receiver`` sends its status messages: a receiver that
+        joined after planning is outside every region, so, like any such
+        receiver, it reports to the sender."""
+        return self.parent_of.get(receiver, self.tree.source)
 
     def designated_receivers(self) -> set[str]:
         return set(self.designated.values())

@@ -62,29 +62,28 @@ class TestCacheDeterminism:
 
     def test_config_change_misses_cache(self, tmp_path, serial_render):
         cache_dir = tmp_path / "cache"
-        ExperimentContext(max_packets=TINY, cache=RunCache(cache_dir)).run(
-            TRACES[0], "srm"
-        )
+        first = ExperimentContext(max_packets=TINY, cache=RunCache(cache_dir))
+        first.run(first.job(TRACES[0], "srm"))
         changed = ExperimentContext(
             config=SimulationConfig(reorder_delay=0.05),
             max_packets=TINY,
             cache=RunCache(cache_dir),
         )
-        changed.run(TRACES[0], "srm")
+        changed.run(changed.job(TRACES[0], "srm"))
         assert changed.engine.stats.executed == 1
         assert changed.engine.cache.stats.hits == 0
 
     def test_source_fingerprint_change_invalidates(self, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
         first = ExperimentContext(max_packets=TINY, cache=RunCache(cache_dir))
-        first.run(TRACES[0], "srm")
+        first.run(first.job(TRACES[0], "srm"))
         assert first.engine.stats.executed == 1
 
         monkeypatch.setattr(
             pool_mod, "source_fingerprint", lambda root=None: "0" * 64
         )
         stale = ExperimentContext(max_packets=TINY, cache=RunCache(cache_dir))
-        stale.run(TRACES[0], "srm")
+        stale.run(stale.job(TRACES[0], "srm"))
         assert stale.engine.stats.executed == 1  # recomputed, not served stale
         assert stale.engine.cache.stats.invalidations == 1
 
@@ -94,7 +93,7 @@ class TestEngineBatching:
         ctx = ExperimentContext(
             max_packets=TINY, cache=RunCache(tmp_path / "cache")
         )
-        ctx.prefetch([(TRACES[0], "srm"), (TRACES[0], "srm")])
+        ctx.prefetch([ctx.job(TRACES[0], "srm"), ctx.job(TRACES[0], "srm")])
         assert ctx.engine.stats.executed == 1
 
     def test_results_keep_input_order(self):
@@ -111,7 +110,7 @@ class TestEngineBatching:
 
     def test_memoization_preserved(self):
         ctx = ExperimentContext(max_packets=TINY)
-        assert ctx.run(TRACES[0], "srm") is ctx.run(TRACES[0], "srm")
+        assert ctx.run(ctx.job(TRACES[0], "srm")) is ctx.run(ctx.job(TRACES[0], "srm"))
 
 
 def _jobs(n=3):

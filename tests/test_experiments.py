@@ -23,10 +23,13 @@ class TestContext:
         assert ctx.trace("WRN951113") is ctx.trace("WRN951113")
 
     def test_run_memoized(self, ctx):
-        assert ctx.run("WRN951113", "srm") is ctx.run("WRN951113", "srm")
+        # Memoized by job: an equal job built again is the same run.
+        assert ctx.run(ctx.job("WRN951113", "srm")) is ctx.run(ctx.job("WRN951113", "srm"))
 
     def test_run_distinct_per_protocol(self, ctx):
-        assert ctx.run("WRN951113", "srm") is not ctx.run("WRN951113", "cesrm")
+        assert ctx.run(ctx.job("WRN951113", "srm")) is not ctx.run(
+            ctx.job("WRN951113", "cesrm")
+        )
 
     def test_max_packets_respected(self, ctx):
         assert ctx.trace("WRN951113").trace.n_packets == TINY
