@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from copy import deepcopy
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -78,7 +79,12 @@ class RunJob:
     # ------------------------------------------------------------------
     # Serialization (the spec must cross process boundaries)
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
+    @cached_property
+    def _wire(self) -> dict[str, Any]:
+        """The wire form, built once per instance: a warm batch asks a
+        job for its key, digest and label several times over.  Never
+        handed out (:meth:`to_dict` copies it), so nothing can corrupt
+        the identity it names."""
         data: dict[str, Any] = {
             "trace": self.trace,
             "protocol": self.protocol,
@@ -93,6 +99,9 @@ class RunJob:
             if value != declared.default:
                 data[declared.name] = value
         return data
+
+    def to_dict(self) -> dict[str, Any]:
+        return deepcopy(self._wire)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunJob":
@@ -114,26 +123,39 @@ class RunJob:
     # ------------------------------------------------------------------
     def key(self) -> str:
         """Content digest of the spec alone (names the cache slot)."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         payload = json.dumps(
-            {"schema": SCHEMA_VERSION, "job": self.to_dict()}, sort_keys=True
+            {"schema": SCHEMA_VERSION, "job": self._wire}, sort_keys=True
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:40]
 
     def digest(self, fingerprint: str) -> str:
         """Spec digest folded with the source-tree ``fingerprint``: a
         cache entry is valid only while both match."""
-        payload = json.dumps(
-            {
-                "schema": SCHEMA_VERSION,
-                "job": self.to_dict(),
-                "fingerprint": fingerprint,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        digest = self._digests.get(fingerprint)
+        if digest is None:
+            payload = json.dumps(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "job": self._wire,
+                    "fingerprint": fingerprint,
+                },
+                sort_keys=True,
+            )
+            digest = hashlib.sha256(payload.encode()).hexdigest()
+            self._digests[fingerprint] = digest
+        return digest
+
+    @cached_property
+    def _digests(self) -> dict[str, str]:
+        """fingerprint -> :meth:`digest`, filled as fingerprints are asked."""
+        return {}
 
     def describe(self) -> str:
-        labels = (f"{k}={v}" for k, v in stored_axes(self.to_dict()).items())
+        labels = (f"{k}={v}" for k, v in stored_axes(self._wire).items())
         return "/".join([self.protocol, self.trace, *labels])
 
 

@@ -113,10 +113,7 @@ class ExecutionEngine:
         unique: dict[str, RunJob] = {}
         for key, job in zip(keys, run_jobs):
             unique.setdefault(key, job)
-        # An outcome carries the job object it ran, not its key, and a
-        # key is a digest — most of what a warm batch costs — so results
-        # are held by that object's identity, not by computing it again.
-        results: dict[int, RunResult] = {}
+        results: dict[str, RunResult] = {}
         cached = ran = 0
         # One job per chunk: a worker failure then names the job that
         # raised, not a chunk-mate.
@@ -129,7 +126,7 @@ class ExecutionEngine:
                 raise RuntimeError(
                     f"{outcome.job.describe()} failed: {outcome.error}"
                 )
-            results[id(outcome.job)] = outcome.summary.to_result()
+            results[outcome.job.key()] = outcome.summary.to_result()
             if outcome.cached:
                 cached += 1  # hits all surface before the first run
             else:
@@ -138,7 +135,7 @@ class ExecutionEngine:
                     f"[exec] {ran}/{len(unique) - cached} done "
                     f"({outcome.job.describe()})"
                 )
-        return [results[id(unique[key])] for key in keys]
+        return [results[key] for key in keys]
 
     # ------------------------------------------------------------------
     # Streaming execution (the repro.sweep scheduler's substrate)

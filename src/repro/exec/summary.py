@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.harness.config import CONFIG_AXES, SimulationConfig
@@ -32,14 +32,24 @@ from repro.srm.constants import SrmParams
 #: treated as misses rather than decoded.
 SCHEMA_VERSION = 1
 
+_CONFIG_FIELDS = tuple(f.name for f in fields(SimulationConfig))
+_PARAMS_FIELDS = tuple(f.name for f in fields(SrmParams))
+#: Enum member by stored value (a summary keeps enums by value).
+_KINDS = {kind.value: kind for kind in PacketKind}
+_CASTS = {cast.value: cast for cast in Cast}
+
+
 def config_to_dict(config: SimulationConfig) -> dict[str, Any]:
     """``SimulationConfig`` (with nested ``SrmParams``) as plain JSON data.
 
     An axis at its default is omitted, so default-config job keys and
     summaries stay byte-identical to builds that pre-date the axis — the
-    same discipline as the optional summary blocks.
+    same discipline as the optional summary blocks.  Every field of both
+    classes is a scalar, so a field-tuple read is the whole encoding.
     """
-    data = asdict(config)
+    data = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    params = config.params
+    data["params"] = {name: getattr(params, name) for name in _PARAMS_FIELDS}
     for declared in CONFIG_AXES:
         if data[declared.name] == declared.default:
             del data[declared.name]
@@ -160,19 +170,23 @@ class RunSummary:
         )
 
     def to_result(self) -> RunResult:
-        """Rehydrate a full ``RunResult`` (enum keys restored)."""
+        """Rehydrate a full ``RunResult`` (enum keys restored).  This is
+        most of what a warm job costs, so the per-row work is a table
+        lookup and a bare tuple build, not ``Enum.__call__`` or a
+        class ``__init__``."""
         metrics = MetricsCollector()
         metrics.sends = Counter(
             {
-                (host, PacketKind(kind), Cast(cast)): count
+                (host, _KINDS[kind], _CASTS[cast]): count
                 for host, kind, cast, count in self.sends
             }
         )
         metrics.losses_detected = Counter(self.losses_detected)
+        new = tuple.__new__
         recoveries: dict[str, list[RecoveryRecord]] = defaultdict(list)
         for host, rows in self.recoveries.items():
             recoveries[host] = [
-                RecoveryRecord(host, seq, latency, bool(expedited), requests)
+                new(RecoveryRecord, (host, seq, latency, expedited, requests))
                 for seq, latency, expedited, requests in rows
             ]
         metrics.recoveries = recoveries

@@ -176,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-packets",
         type=int,
         default=None,
-        help="replay length per trace (default: %(default)s -> harness default)",
+        help="replay length per trace (default: %(default)s -> harness "
+        "default); `verify-paper` judges its claim bands at the default "
+        "length, and a shorter replay can MISS them (at 300 packets "
+        "fig1.per_trace_reduction, s34.srm_band and family.cesrm_faster do)",
     )
     parser.add_argument(
         "--full",

@@ -9,14 +9,14 @@ the collector with the network's link-crossing counts into a
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.net.packet import Cast, Packet, PacketKind
 
 
-@dataclass(frozen=True)
-class RecoveryRecord:
-    """One completed loss recovery at one host."""
+class RecoveryRecord(NamedTuple):
+    """One completed loss recovery at one host (a tuple, so a cached
+    run rehydrates thousands of them at tuple-build cost)."""
 
     host: str
     seq: int
@@ -66,7 +66,7 @@ class MetricsCollector:
         requests_sent: int,
     ) -> None:
         self.recoveries[host].append(
-            RecoveryRecord(host, seq, latency, expedited, requests_sent)
+            RecoveryRecord(host, seq, latency, bool(expedited), requests_sent)
         )
 
     def on_duplicate_reply(self, host: str, seq: int) -> None:

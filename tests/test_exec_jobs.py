@@ -1,5 +1,8 @@
 """RunJob digests: stable, spec-sensitive, and fingerprint-sensitive."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.exec.jobs import RunJob, source_fingerprint
@@ -97,6 +100,55 @@ class TestDigest:
 
     def test_distinct_from_key(self):
         assert job().digest("aaa") != job().key()
+
+
+class TestMemoizedWireForm:
+    """A job builds its wire form, key and digests once; nothing a caller
+    does with what it is handed can change the identity they name."""
+
+    def test_mutating_to_dict_leaves_identity_alone(self):
+        original = job(faults=CRASH_PLAN)
+        key, digest = original.key(), original.digest("aaa")
+        data = original.to_dict()
+        data["trace"] = "WRN951216"
+        data["config"]["seed"] = 99
+        data["config"]["params"]["c1"] = 9.0
+        data["faults"]["events"].clear()
+        assert original.key() == key == job(faults=CRASH_PLAN).key()
+        assert original.digest("aaa") == digest
+        assert original.to_dict() != data
+        assert original.to_dict() is not original.to_dict()
+
+    def test_replace_gets_its_own_key(self):
+        original = job()
+        original.key()  # fill the memo before copying
+        moved = dataclasses.replace(original, trace_seed=5)
+        assert moved.key() == job(trace_seed=5).key() != original.key()
+        assert moved.digest("aaa") != original.digest("aaa")
+
+    def test_pickle_round_trip(self):
+        original = job(faults=CRASH_PLAN, workload="zipf:alpha=1.1")
+        key = original.key()
+        restored = pickle.loads(pickle.dumps(original))
+        assert restored == original
+        assert hash(restored) == hash(original)
+        assert restored.key() == key
+        assert restored.digest("aaa") == original.digest("aaa")
+
+    def test_from_dict_round_trip(self):
+        original = job(faults=CRASH_PLAN)
+        original.digest("aaa")
+        restored = RunJob.from_dict(original.to_dict())
+        assert restored == original
+        assert restored.key() == original.key()
+        assert restored.digest("aaa") == original.digest("aaa")
+
+    def test_digest_memoized_per_fingerprint(self):
+        original = job()
+        first, second = original.digest("aaa"), original.digest("bbb")
+        assert first != second
+        assert original.digest("aaa") == first == job().digest("aaa")
+        assert original.digest("bbb") == second == job().digest("bbb")
 
 
 class TestSerialization:

@@ -10,8 +10,10 @@ from repro.exec.summary import (
     config_from_dict,
     config_to_dict,
 )
-from repro.harness.config import SimulationConfig
+from repro.harness.config import CONFIG_AXES, SimulationConfig
 from repro.harness.runner import run_trace
+from repro.metrics.collector import MetricsCollector, RecoveryRecord
+from repro.net.packet import Cast, PacketKind
 from repro.srm.constants import SrmParams
 from repro.traces.synthesize import synthesize_trace
 from repro.traces.yajnik import trace_meta
@@ -174,6 +176,72 @@ class TestResultRehydration:
         assert render_recovery_timeline(
             rehydrated, receiver
         ) == render_recovery_timeline(result, receiver)
+
+
+class TestTableDrivenRehydration:
+    """``to_result`` builds its rows from lookup tables and bare tuples;
+    what it builds must be what a live run records."""
+
+    def test_summary_round_trips_through_the_result(self, result):
+        summary = RunSummary.from_result(result)
+        again = RunSummary.from_result(summary.to_result())
+        assert again.to_dict() == summary.to_dict()
+
+    def test_records_are_recovery_records(self, rehydrated):
+        records = rehydrated.metrics.all_recoveries()
+        assert records
+        for record in records:
+            assert type(record) is RecoveryRecord
+            assert type(record.expedited) is bool
+        assert any(record.expedited for record in records)
+
+    def test_collector_builds_equal_records(self, rehydrated):
+        collector = MetricsCollector()
+        for record in rehydrated.metrics.all_recoveries():
+            collector.on_recovery(
+                host=record.host,
+                seq=record.seq,
+                latency=record.latency,
+                expedited=record.expedited,
+                requests_sent=record.requests_sent,
+            )
+        assert collector.recoveries == rehydrated.metrics.recoveries
+
+    def test_send_keys_are_enum_members(self, rehydrated):
+        for host, kind, cast in rehydrated.metrics.sends:
+            assert isinstance(kind, PacketKind) and isinstance(cast, Cast)
+
+
+class TestShallowConfigEncoding:
+    """``config_to_dict`` reads fields; it must stay equal to the
+    ``dataclasses.asdict`` rendering it replaced."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimulationConfig(),
+            SimulationConfig(
+                params=SrmParams(c1=1.5, d3=2.0, max_backoff=4),
+                seed=7,
+                max_packets=123,
+                kernel="vector",
+                cache="lru:capacity=8",
+                prime_distances=True,
+                verify_period=0.5,
+            ),
+        ],
+    )
+    def test_matches_asdict(self, config):
+        from dataclasses import asdict
+
+        expected = asdict(config)
+        for declared in CONFIG_AXES:
+            if expected[declared.name] == declared.default:
+                del expected[declared.name]
+        data = config_to_dict(config)
+        assert data == expected
+        assert list(data) == list(expected)  # field order too
+        assert list(data["params"]) == list(expected["params"])
 
 
 class TestToDictWithoutDeepCopy:
