@@ -144,7 +144,9 @@ class RunCache:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                # dumps, not dump: json.dump streams through the pure-Python
+                # encoder; dumps is the C one, same bytes.
+                handle.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             try:

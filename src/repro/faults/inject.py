@@ -16,6 +16,17 @@ go wrong on the wire.  It owns two mechanisms:
   trace-driven interference share one primitive instead of parallel code
   paths.
 
+Trace drops are compiled once and shared by both kernels.  Each
+:meth:`FaultInjector.add_hop_rule` recompiles the rules: while every rule
+is a per-seqno drop table (``rule.link_combos``, as the trace replay's
+is), the injector holds one table of the hops each DATA packet dies on,
+and a hop no outage or tracer watches is decided by a membership test in
+it — the python kernel's flood loop reads a seqno's hops once per node,
+the vector kernel turns them into edge ids once per seqno — instead of a
+call into :meth:`FaultInjector.on_hop` and the rule per crossing.  Any
+other rule leaves nothing compiled, and every hop goes through
+:meth:`FaultInjector.on_hop` as before.
+
 Determinism: every stochastic rule owns a named
 :class:`~repro.sim.rng.RngRegistry` stream (``fault:...``), and the hop
 sequence is itself deterministic, so a plan's effects are a pure function
@@ -26,7 +37,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 from repro.faults.plan import (
     FaultPlan,
@@ -82,9 +93,9 @@ def trace_drop_rule(link_combos: Mapping[int, frozenset[LinkId]]) -> HopRule:
     # Declares the rule a pure function of DATA packets only: the network's
     # hot path may skip consulting the injector for other kinds entirely.
     rule.data_only = True
-    # Exposes the drop table itself: the vector kernel batches these
-    # deterministic per-seqno drops as one array membership test instead
-    # of a per-hop call (repro.net.vector).
+    # Exposes the drop table itself: the injector compiles it into the
+    # table both kernels test hops against (FaultInjector._drop_table)
+    # instead of calling the rule per crossing.
     rule.link_combos = link_combos
     return rule
 
@@ -152,6 +163,23 @@ class _ReorderRule(_WindowedRule):
         return None
 
 
+class _DropUnion:
+    """Several per-seqno drop tables read as one: ``get(seqno)`` is the
+    union of the hops every table drops that packet on.  Read through on
+    each call, so a table mutated after it was added is seen as it is."""
+
+    __slots__ = ("_tables",)
+
+    def __init__(self, tables: tuple[Mapping[int, Collection[LinkId]], ...]) -> None:
+        self._tables = tables
+
+    def get(self, seqno: int, default=None):
+        found = [hops for table in self._tables if (hops := table.get(seqno))]
+        if not found:
+            return default
+        return frozenset().union(*found)
+
+
 class FaultInjector:
     """Executes a :class:`FaultPlan` against one wired simulation.
 
@@ -177,6 +205,10 @@ class FaultInjector:
         #: pure function of DATA packets): together with an empty ``_down``
         #: this lets the network skip :meth:`on_hop` for control traffic.
         self._rules_data_only = True
+        #: The compiled hop rules (see :meth:`_compile`): DATA seqno ->
+        #: the directed hops it dies on, or None when some rule is not a
+        #: drop table.  Both kernels decide an unobserved DATA hop by it.
+        self._drop_table = self._compile()
         #: directed link -> number of active outages covering it.
         self._down: dict[tuple[str, str], int] = {}
         self._agents: dict = {}
@@ -198,6 +230,23 @@ class FaultInjector:
         self._hop_rules.append(rule)
         if not getattr(rule, "data_only", False):
             self._rules_data_only = False
+        self._drop_table = self._compile()
+
+    def _compile(self) -> Mapping[int, Collection[LinkId]] | None:
+        """One drop table for every installed rule, when each is a
+        data-only per-seqno drop table (``rule.link_combos``): on_hop is
+        then exactly a membership test of the crossing in the packet's
+        entry, first drop or not.  None otherwise.  A single table is used
+        as it is, so in-place edits to it stay visible."""
+        tables = []
+        for rule in self._hop_rules:
+            table = getattr(rule, "link_combos", None)
+            if table is None or not getattr(rule, "data_only", False):
+                return None
+            tables.append(table)
+        if len(tables) == 1:
+            return tables[0]
+        return _DropUnion(tuple(tables))
 
     def on_hop(self, u: str, v: str, packet: Packet) -> HopEffect | None:
         """The network's per-crossing consultation point."""

@@ -3,7 +3,8 @@
 The network forwards packets hop-by-hop through the tree with per-direction
 FIFO queueing (:class:`~repro.net.link.LinkState`), consults the run's
 fault injector (:class:`~repro.faults.inject.FaultInjector`, whose hop
-rules carry every loss) on every directed hop, delivers packets to the
+rules carry every loss; a trace replay's are one compiled drop table) on
+every directed hop, delivers packets to the
 agents attached at host nodes, and accounts one cost unit per link
 crossing — the transmission-overhead metric of §4.4.
 
@@ -571,13 +572,18 @@ class Network:
             self._flood_entries += 1
             self._flood_arrivals += extra + 1
             if extra:
-                sim.coalesced(extra)
+                if sim.profiler is None:
+                    sim._events_processed += extra  # inline of coalesced
+                else:
+                    sim.coalesced(extra)
         now = sim._now
         agents = self._agents_by_id
         adj = self._adj
         buckets = sim._buckets
+        push_new = sim._push_new
         slots = self.crossings._slots
         size = packet.size_bytes
+        is_data = packet.kind is _DATA_KIND
         arrival_entry = self._flood_arrival
         for node in nodes:
             if arrived:
@@ -595,7 +601,21 @@ class Network:
             # node's hops only the hooks themselves run.
             tracer = sim.tracer
             faults = self.faults
-            hooked = faults is not None or tracer is not None
+            hooked = tracer is not None
+            # The hops this packet dies on, from the injector's compiled
+            # drop table: with no outage, no tracer and every rule a drop
+            # table, that membership test is all on_hop would decide.
+            dead = None
+            if faults is not None and not hooked:
+                table = (
+                    None
+                    if faults._down or not faults._rules_data_only
+                    else faults._drop_table
+                )
+                if table is None:
+                    hooked = True
+                elif is_data:
+                    dead = table.get(packet.seqno)
             run: list[int] = []
             run_at = _NEVER
             for to, u, v, link in adj[node]:
@@ -604,12 +624,13 @@ class Network:
                 slots[slot] += 1  # crossings count before loss
                 copies = 1
                 extra_delay = 0.0
+                if dead is not None and (u, v) in dead:
+                    self.packets_dropped += 1  # _record_drop, untraced
+                    continue
                 if hooked:
                     # Inline of _cross_hooks, hook for hook.
                     if faults is not None and (
-                        faults._down
-                        or not faults._rules_data_only
-                        or packet.kind is _DATA_KIND
+                        faults._down or not faults._rules_data_only or is_data
                     ):
                         effect = faults.on_hop(u, v, packet)
                         if effect is not None:
@@ -648,7 +669,7 @@ class Network:
                         if bucket is not None:
                             bucket.append(entry)
                         else:
-                            sim.schedule_raw(arrival, *entry)
+                            push_new(arrival, entry)
                     if copies == 1:
                         break
                     # The duplicate serialises behind the original on the

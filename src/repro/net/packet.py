@@ -30,6 +30,12 @@ class PacketKind(enum.Enum):
     EREPL = "erepl"        # CESRM expedited reply (multicast, or subcast w/ routers)
     ACK = "ack"            # RMTP status message (unicast to the designated receiver)
 
+    # Identity hashing, in C: members are singletons compared by identity,
+    # and ``Enum.__hash__`` (a Python-level ``hash(self._name_)``) would
+    # run on every ``(host, kind, cast)`` send count and kind-slot lookup.
+    # Neither hash is stable across processes, so nothing may depend on it.
+    __hash__ = object.__hash__
+
     @property
     def carries_payload(self) -> bool:
         """True for packets that carry the 1 KB data payload."""
@@ -53,6 +59,8 @@ class Cast(enum.Enum):
     MULTICAST = "multicast"  # flood the shared tree from the sender
     UNICAST = "unicast"      # unique tree path between two nodes
     SUBCAST = "subcast"      # downstream flood from a turning-point router
+
+    __hash__ = object.__hash__  # identity, in C (see PacketKind)
 
 
 @dataclass(slots=True)

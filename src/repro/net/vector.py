@@ -56,9 +56,11 @@ Two rules keep that true:
   on them.  ``Network.link_state`` builds a ``LinkState`` from the
   columns on read.
 * **Hooks only on the loop.**  A wave is *hooked* when something can
-  observe or decide individual hops: a tracer, an active outage, or any
-  fault rule that is not a recognised deterministic trace-drop table
-  (``rule.link_combos``).  Hooked waves — and unicast hops, a frontier
+  observe or decide individual hops: a tracer, an active outage, or a
+  fault rule the injector could not compile into its drop table (that
+  takes every rule being a deterministic trace-drop table,
+  ``rule.link_combos``; the python kernel's flood loop reads the same
+  compiled table).  Hooked waves — and unicast hops, a frontier
   of one with one edge — run the same loop with the hooks live in
   python-kernel order: deliver to a node, then run the network's
   per-hop hooks (``Network._cross_hooks``: ``faults.on_hop``, the drop
@@ -170,12 +172,12 @@ class VectorKernel:
         self._child_csr: Any = None
         self._rows: Any = None
         self._child_rows: Any = None
-        # -- per-seqno trace-drop edge sets (cleared on rebuild) -------
+        # -- per-seqno trace-drop edge sets (see _drops) ---------------
+        #: seqno -> the edge ids it dies on, read from the injector's
+        #: compiled drop table ``_drop_cache_of``; cleared on rebuild and
+        #: whenever the injector recompiles.
         self._drop_cache: dict[int, tuple[frozenset, np.ndarray] | None] = {}
-        # -- recognised fault rules (see _drops) -----------------------
-        self._rules_src: Any = None
-        self._rules_len = -1
-        self._rules_combos: tuple | None = ()
+        self._drop_cache_of: Any = None
         # -- fired wave entries by executor (Network.kernel_stats) -----
         self.loop_waves = 0
         self.numpy_waves = 0
@@ -287,9 +289,10 @@ class VectorKernel:
         """What stands between ``packet`` and an unobserved crossing *now*:
         ``_HOOKED`` when something can observe or decide its individual
         hops (see module docstring); otherwise the edge ids on which it
-        deterministically dies — the union over recognised trace-drop
-        rules, as ``(set for the loop, array for np.isin)`` — or None
-        when it crosses everything."""
+        deterministically dies — its entry in the injector's compiled
+        drop table (:class:`~repro.faults.inject.FaultInjector`), as
+        ``(set for the loop, array for np.isin)`` — or None when it
+        crosses everything."""
         if self.sim.tracer is not None:
             return _HOOKED
         net = self.net
@@ -301,33 +304,25 @@ class VectorKernel:
         if packet.kind is not _DATA_KIND:
             # The network's own gate skips on_hop entirely here.
             return None
-        rules = faults._hop_rules
-        if rules is not self._rules_src or len(rules) != self._rules_len:
-            combos: list | None = []
-            for rule in rules:
-                table = getattr(rule, "link_combos", None)
-                if table is None:
-                    combos = None
-                    break
-                combos.append(table)
-            self._rules_src = rules
-            self._rules_len = len(rules)
-            self._rules_combos = None if combos is None else tuple(combos)
-            self._drop_cache.clear()
-        if self._rules_combos is None:
+        table = faults._drop_table
+        if table is None:
             return _HOOKED
-        seqno = packet.seqno
         cache = self._drop_cache
+        if table is not self._drop_cache_of:
+            # The injector recompiled (a rule was added): forget the ids
+            # read from the table it replaced.
+            cache.clear()
+            self._drop_cache_of = table
+        seqno = packet.seqno
         if seqno in cache:
             return cache[seqno]
         ids = net._ids
         edge_of = self._edge_of
         eids: set[int] = set()
-        for table in self._rules_combos:
-            for u, v in table.get(seqno, ()):
-                eid = edge_of.get(ids[u] << _HOP_SHIFT | ids[v])
-                if eid is not None:  # detached hops are never crossed
-                    eids.add(eid)
+        for u, v in table.get(seqno, ()):
+            eid = edge_of.get(ids[u] << _HOP_SHIFT | ids[v])
+            if eid is not None:  # detached hops are never crossed
+                eids.add(eid)
         drops = cache[seqno] = (
             (frozenset(eids), np.fromiter(eids, dtype=np.int32, count=len(eids)))
             if eids
@@ -461,7 +456,7 @@ class VectorKernel:
                 if bucket is not None:
                     bucket.append((wave, args))
                 else:
-                    sim.schedule_raw(t, wave, args)
+                    sim._push_new(t, (wave, args))
         if deliver and not hooked:
             net = self.net
             agents = net._agents_by_id

@@ -169,13 +169,21 @@ class Simulator:
         if bucket is not None:
             bucket.append((callback, args))
             return
-        self._push(time, (callback, args))
+        self._push_new(time, (callback, args))
 
     def _push(self, time: float, entry: Any) -> None:
         bucket = self._buckets.get(time)
         if bucket is not None:
             bucket.append(entry)
             return
+        self._push_new(time, entry)
+
+    def _push_new(self, time: float, entry: Any) -> None:
+        """Enqueue ``entry`` at ``time`` for a caller that has just found
+        no pending bucket there (``_buckets.get(time)`` missed) and knows
+        ``time`` is not in the past: the rest of :meth:`_push`, with no
+        second lookup.  The network's flood loop calls it directly for
+        each new arrival instant."""
         current = self._bucket
         if current is not None:
             if time == self._bucket_time:

@@ -58,7 +58,7 @@ from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.srm.constants import SrmParams
 from repro.srm.session import DistanceEstimator, SessionReport
-from repro.srm.state import ReplyState, RequestState, SeqSet, StreamState
+from repro.srm.state import ReplyState, RequestState, SeqSet, StreamState, insert
 
 # Members bound once at import: :meth:`SrmAgent.receive` compares by
 # identity against these on every delivery, and a module global is
@@ -423,7 +423,7 @@ class SrmAgent:
             # Guarded call: _advance_stream is a no-op otherwise (the
             # common in-order case), and the check is one comparison.
             self._advance_stream(src, seq - 1)
-        stream.received.add(seq)
+        insert(stream.received, seq)  # set.add: no Python-level call
         if seq > stream.max_seq:
             stream.max_seq = seq
         request = state.request_states.pop(seq, None)
@@ -646,8 +646,9 @@ class SrmAgent:
         sim = self.sim
         now = sim._now
         tracer = sim.tracer
-        if seq not in stream.received:
-            stream.received.add(seq)
+        received = stream.received
+        if seq not in received:
+            insert(received, seq)  # set.add: no Python-level call
             if seq > stream.max_seq:
                 stream.max_seq = seq
             request = state.request_states.pop(seq, None)

@@ -40,11 +40,13 @@ from __future__ import annotations
 
 import sqlite3
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.exec.summary import RunSummary
 from repro.metrics.stats import mean
+from repro.net.packet import PacketKind
 from repro.sweep.spec import AXES, OPTIONAL_AXES, SweepCase, SweepSpec
 
 #: Dimension columns (queryable, groupable).
@@ -126,42 +128,55 @@ class SweepStoreError(ValueError):
 
 
 def flatten_summary(summary: RunSummary) -> dict[str, Any]:
-    """One run's summary reduced to the store's metric columns."""
-    result = summary.to_result()
-    receivers = result.receivers
-    latencies = [result.avg_normalized_recovery_time(r) for r in receivers]
+    """One run's summary reduced to the store's metric columns, read off
+    the summary's own lists and counters (no ``RunResult`` is rehydrated)
+    with the float ops of the ``RunResult`` accessors they stand for:
+    ``avg_normalized_recovery_time`` per receiver, then their mean, and
+    ``MetricsCollector.expedited_success_rate``."""
+    recoveries = summary.recoveries
+    rtts = summary.rtt_to_source
+    latencies = []
+    for receiver in summary.receivers:
+        rtt = rtts[receiver]
+        rows = () if rtt <= 0 else recoveries.get(receiver, ())
+        latencies.append(mean([row[1] / rtt for row in rows]))
     n_recoveries = 0
     n_expedited = 0
-    for rows in summary.recoveries.values():
+    for rows in recoveries.values():
         n_recoveries += len(rows)
         n_expedited += sum(1 for row in rows if row[2])
-    metrics = result.metrics
+    sent = Counter()
+    for _host, kind, _cast, count in summary.sends:
+        sent[kind] += count
+    requests = sent[PacketKind.ERQST.value]
+    replies = sent[PacketKind.EREPL.value]
+    overhead = summary.overhead
     cache = summary.cache or {}
     return {
-        "n_packets": result.n_packets,
-        "total_losses": result.total_losses,
-        "recovered": result.recovered_losses,
-        "unrecovered": result.unrecovered_losses,
+        "n_packets": summary.n_packets,
+        "total_losses": summary.total_losses,
+        "recovered": n_recoveries,
+        "unrecovered": sum(len(seqs) for seqs in summary.unrecovered_seqs.values()),
         "avg_latency_rtt": mean(latencies) if latencies else 0.0,
-        "expedited_requests": metrics.expedited_requests_sent,
-        "expedited_replies": metrics.expedited_replies_sent,
-        "expedited_success": metrics.expedited_success_rate,
+        "expedited_requests": requests,
+        "expedited_replies": replies,
+        "expedited_success": replies / requests if requests else 0.0,
         "expedited_fraction": (
             n_expedited / n_recoveries if n_recoveries else 0.0
         ),
-        "retransmissions": result.overhead.retransmissions,
-        "multicast_control": result.overhead.multicast_control,
-        "unicast_control": result.overhead.unicast_control,
-        "events": result.events_processed,
-        "sim_time": result.sim_time,
-        "wall_time": result.wall_time,
+        "retransmissions": overhead["retransmissions"],
+        "multicast_control": overhead["multicast_control"],
+        "unicast_control": overhead["unicast_control"],
+        "events": summary.events_processed,
+        "sim_time": summary.sim_time,
+        "wall_time": summary.wall_time,
         # NULL on default-cache runs (no explicit policy, no stats block).
         "cache_inserts": cache.get("inserts"),
         "cache_evictions": cache.get("evictions"),
         "cache_hit_rate": cache.get("hit_rate"),
         # Initial membership — the topology's scale point (a churn run's
         # final membership is in the summary's churn block).
-        "n_receivers": len(receivers),
+        "n_receivers": len(summary.receivers),
         # NULL on static-membership runs (no churn block).
         "churn_rate": (summary.churn or {}).get("rate"),
     }

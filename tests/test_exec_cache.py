@@ -48,6 +48,19 @@ class TestGetPut:
         assert payload["fingerprint"] == FP
         assert payload["job"]["trace"] == "WRN951113"
 
+    def test_entry_bytes_are_the_c_encoders(self, cache):
+        """An entry is ``json.dumps(payload, sort_keys=True)`` byte for
+        byte: what ``json.dump``'s streaming encoder wrote before."""
+        summary = {"z": [1, 2.5, None, True], "a": {"k": 1e-9, "j": "é"}}
+        path = cache.put(JOB, FP, summary)
+        payload = {
+            "digest": JOB.digest(FP),
+            "fingerprint": FP,
+            "job": JOB.to_dict(),
+            "summary": summary,
+        }
+        assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode()
+
     def test_distinct_jobs_distinct_slots(self, cache):
         other = RunJob("WRN951216", "srm", CFG, 0, 200)
         cache.put(JOB, FP, SUMMARY)

@@ -293,3 +293,70 @@ def test_event_ordering_respects_subsecond_precision():
     sim.schedule(0.00009, out.append, "b")
     sim.run()
     assert out == ["b", "a"]
+
+
+# ----------------------------------------------------------------------
+# _push_new: the flood loop's entry for an instant with no pending bucket
+# ----------------------------------------------------------------------
+def test_push_new_on_the_instant_being_drained_fires_in_the_same_batch():
+    """The drained bucket is off the bucket map, so a flood hop landing on
+    the current instant misses the lookup and comes through ``_push_new``:
+    it joins the batch being drained, after what is already in it, and
+    opens no second heap entry for the instant."""
+    sim = Simulator()
+    out = []
+
+    def arrive():
+        out.append("arrive")
+        assert sim._buckets.get(sim.now) is None
+        sim._push_new(sim.now, (out.append, ("hop",)))
+        assert sim.now not in sim._times
+
+    sim.schedule(1.0, arrive)
+    sim.schedule(1.0, out.append, "queued")
+    sim.schedule(2.0, out.append, "later")
+    sim.run(until=1.0)
+    assert out == ["arrive", "queued", "hop"]
+    assert sim.events_processed == 3
+    sim.run()
+    assert out[-1] == "later"
+
+
+@pytest.mark.parametrize(
+    "brk, at",
+    [
+        ("until", 3.0), ("until", 5.0), ("until", 7.0),
+        ("max_events", 3.0), ("max_events", 5.0), ("max_events", 7.0),
+        ("mid_bucket", 5.0), ("mid_bucket", 7.0),
+    ],
+)
+def test_push_new_after_a_break_requeues_the_paused_bucket(brk, at):
+    """After an ``until`` or ``max_events`` break between buckets (the next
+    bucket taken off the heap but not fired) or a ``max_events`` break
+    inside one (a bucket drained part way), an arrival before the paused
+    bucket's instant requeues the bucket's remainder and fires first; one
+    on or after it fires after the remainder.  The clock never moves
+    backwards."""
+    sim = Simulator()
+    out = []
+    times = []
+    sim.schedule(1.0, out.append, "a")
+    for name in ("p1", "p2", "p3"):
+        sim.schedule(5.0, out.append, name)
+    if brk == "until":
+        sim.run(until=2.0)
+    elif brk == "max_events":
+        sim.run(max_events=1)  # "a"
+    else:
+        sim.run(max_events=2)  # "a", then "p1"
+    assert sim._bucket is not None, "the break left a bucket paused"
+    assert sim._buckets.get(at) is None
+    sim._push_new(at, (lambda: (out.append("new"), times.append(sim.now)), ()))
+    sim.run()
+    if at < 5.0:
+        assert out == ["a", "new", "p1", "p2", "p3"]
+    else:
+        assert out == ["a", "p1", "p2", "p3", "new"]
+    assert times == [at]
+    assert sim.now == max(at, 5.0)
+    assert sim.events_processed == 5

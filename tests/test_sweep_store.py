@@ -4,6 +4,7 @@ import pytest
 
 from repro.exec.jobs import RunJob, execute_job
 from repro.harness.config import SimulationConfig
+from repro.metrics.stats import mean
 from repro.sweep.report import render_rows, render_sweep_report
 from repro.sweep.spec import SweepSpec, compile_sweep
 from repro.sweep.store import (
@@ -64,6 +65,76 @@ class TestFlatten:
         assert flat["recovered"] + flat["unrecovered"] == flat["total_losses"]
         assert 0.0 <= flat["expedited_fraction"] <= 1.0
         assert flat["avg_latency_rtt"] > 0
+
+
+def _flatten_rehydrated(summary) -> dict:
+    """The store's columns read through a rehydrated ``RunResult`` — how
+    ``flatten_summary`` computed them before it read the summary itself."""
+    result = summary.to_result()
+    receivers = result.receivers
+    latencies = [result.avg_normalized_recovery_time(r) for r in receivers]
+    n_recoveries = 0
+    n_expedited = 0
+    for rows in summary.recoveries.values():
+        n_recoveries += len(rows)
+        n_expedited += sum(1 for row in rows if row[2])
+    metrics = result.metrics
+    cache = summary.cache or {}
+    return {
+        "n_packets": result.n_packets,
+        "total_losses": result.total_losses,
+        "recovered": result.recovered_losses,
+        "unrecovered": result.unrecovered_losses,
+        "avg_latency_rtt": mean(latencies) if latencies else 0.0,
+        "expedited_requests": metrics.expedited_requests_sent,
+        "expedited_replies": metrics.expedited_replies_sent,
+        "expedited_success": metrics.expedited_success_rate,
+        "expedited_fraction": n_expedited / n_recoveries if n_recoveries else 0.0,
+        "retransmissions": result.overhead.retransmissions,
+        "multicast_control": result.overhead.multicast_control,
+        "unicast_control": result.overhead.unicast_control,
+        "events": result.events_processed,
+        "sim_time": result.sim_time,
+        "wall_time": result.wall_time,
+        "cache_inserts": cache.get("inserts"),
+        "cache_evictions": cache.get("evictions"),
+        "cache_hit_rate": cache.get("hit_rate"),
+        "n_receivers": len(receivers),
+        "churn_rate": (summary.churn or {}).get("rate"),
+    }
+
+
+class TestFlattenMatchesRehydrated:
+    """``flatten_summary`` reads the summary's own lists and counters; its
+    row must equal the one a rehydrated ``RunResult`` gives, float for
+    float (``==`` on a float column is bit equality here)."""
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            RunJob("WRN950919", "srm", SimulationConfig(seed=1, max_packets=150),
+                   trace_seed=0, trace_max_packets=150),
+            RunJob("WRN950919", "cesrm", SimulationConfig(seed=1, max_packets=150),
+                   trace_seed=0, trace_max_packets=150),
+            RunJob("WRN951113", "cesrm",
+                   SimulationConfig(seed=2, max_packets=150, cache="lru:capacity=4"),
+                   trace_seed=0, trace_max_packets=150),
+            RunJob("WRN951128", "cesrm", SimulationConfig(seed=0, max_packets=150),
+                   trace_seed=0, trace_max_packets=150, churn="churn:rate=1"),
+        ],
+        ids=["srm", "cesrm", "cachelab", "churn"],
+    )
+    def test_rows_equal(self, job):
+        summary = execute_job(job)
+        flat = flatten_summary(summary)
+        assert flat == _flatten_rehydrated(summary)
+        assert [type(v) for v in flat.values()] == [
+            type(v) for v in _flatten_rehydrated(summary).values()
+        ]
+        if job.protocol == "cesrm":
+            assert flat["expedited_requests"] > 0
+        if job.churn:
+            assert flat["churn_rate"] is not None
 
 
 class TestIngest:
